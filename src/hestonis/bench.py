@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -269,7 +270,6 @@ class DriftFactory:
             None, p, g, LdpMode.SMALL_NOISE, payoff_log=self._vs_log_payoff(spec),
             extra_atoms=[(vega, zero)], n_hats=9,
         )
-        m1 = problem.basis[0].shape[0]
         init = np.zeros(problem.n_coeffs)
         init[2] = 1.0  # unit weight on the variance-response atom
         problem.seed_coeffs = [init]
@@ -343,11 +343,15 @@ def _chunk_sizes(n_paths: int) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, n_chunks: int, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+def _thread_pool(workers: int):
+    """A pool of ``workers`` threads, or a context yielding None for one worker."""
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _map_chunks(fn, chunks, pool: ThreadPoolExecutor | None) -> list:
+    if pool is None:
+        return [fn(i) for i in chunks]
+    return list(pool.map(fn, chunks))
 
 
 @dataclass
@@ -372,51 +376,74 @@ class _Moments:
         return max((self.s2 - self.s1 * self.s1 / self.n) / (self.n - 1.0), 0.0)
 
 
-def run_estimator(
+def _label(kind: EstimatorKind, strike: float) -> str:
+    return f"{kind.value} @ K={strike}"
+
+
+def _weighted(g: np.ndarray, log_inv_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted payoff and weighted positive-payoff indicator per path.
+
+    A zero-payoff path contributes 0 even where its weight overflowed to inf,
+    instead of inf * 0 = nan; finite weights give the same bits as g * w.
+    """
+    hit = g > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(log_inv_weight)
+        return np.where(hit, g * w, 0.0), np.where(hit, w, 0.0)
+
+
+def _chunk_moments(
     kind: EstimatorKind,
     spec: PayoffSpec,
     params: HestonParams,
     grid: TimeGrid,
-    n_paths: int,
+    drift: DriftSchedule | None,
+    size: int,
+    rng: sim.RngSpec,
+    increments: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _Moments:
+    """Moments of one chunk of the (kind, spec) estimator on stream ``rng``.
+
+    ``increments`` are the chunk's pre-drawn (dw, dw_perp): ``size`` rows, or
+    for Antithetic the mirrored pairs of the first ceil(size / 2) rows. Raises
+    OptimError naming the cell when a sum is not finite.
+    """
+    if kind is EstimatorKind.CLASSIC:
+        batch = sim.simulate_p(params, grid, size, rng, increments=increments)
+    elif kind is EstimatorKind.ANTITHETIC:
+        batch = sim.antithetic_pairs(params, grid, size + size % 2, rng, increments=increments)
+    else:
+        batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments)
+    x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
+    del batch  # frees v_raw (and a block drawn here) before the payoff's temporaries
+    g = payoff_mod.evaluate(spec, params, grid, x, v)
+    m = _Moments()
+    if kind is EstimatorKind.CLASSIC:
+        m.add(g, (g > 0.0).astype(float))
+    elif kind is EstimatorKind.ANTITHETIC:
+        hit = (g > 0.0).astype(float)
+        m.add(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
+    else:
+        m.add(*_weighted(g, log_inv_weight))
+    if not np.all(np.isfinite((m.s1, m.s2, m.pos))):
+        raise OptimError(
+            f"{_label(kind, spec.strike)}: non-finite weighted payoff sum in chunk "
+            f"{rng.stream_offset} (s1={m.s1!r}, s2={m.s2!r})"
+        )
+    return m
+
+
+def _report(
+    kind: EstimatorKind,
+    spec: PayoffSpec,
+    grid: TimeGrid,
     seed: int,
-    classic_variance: float | None = None,
-    workers: int = 1,
-    factory: DriftFactory | None = None,
+    chunks: list[_Moments],
+    wall: float,
+    drift_secs: float,
+    classic_variance: float | None,
 ) -> EstimatorReport:
-    """Price one (kind, strike) cell; raises OptimError annotated with the cell."""
-    validate(params)
-    factory = factory or DriftFactory(params, grid)
-    sizes = _chunk_sizes(n_paths)
-    drift, drift_secs = (None, 0.0)
-    if kind in DRIFT_KINDS:
-        try:
-            drift, drift_secs = factory.build(kind, spec)
-        except OptimError as e:
-            raise OptimError(f"{kind.value} @ K={spec.strike}: {e}") from e
-
-    def run_chunk(i: int):
-        rng = sim.RngSpec(seed, i)
-        m = _Moments()
-        if kind is EstimatorKind.CLASSIC:
-            batch = sim.simulate_p(params, grid, sizes[i], rng)
-            g = payoff_mod.evaluate(spec, params, grid, batch.x, batch.v)
-            m.add(g, (g > 0.0).astype(float))
-        elif kind is EstimatorKind.ANTITHETIC:
-            n_i = sizes[i] if sizes[i] % 2 == 0 else sizes[i] + 1
-            batch = sim.antithetic_pairs(params, grid, n_i, rng)
-            g = payoff_mod.evaluate(spec, params, grid, batch.x, batch.v)
-            pair_mean = 0.5 * (g[0::2] + g[1::2])
-            m.add(pair_mean, 0.5 * ((g > 0.0).astype(float)[0::2] + (g > 0.0).astype(float)[1::2]))
-        else:
-            batch = sim.simulate_q(params, grid, sizes[i], rng, drift)
-            g = payoff_mod.evaluate(spec, params, grid, batch.x, batch.v)
-            w = np.exp(batch.log_inv_weight)
-            m.add(g * w, w * (g > 0.0))
-        return m
-
-    t0 = time.perf_counter()
-    chunks = _map_chunks(run_chunk, len(sizes), workers)
-    wall = time.perf_counter() - t0
+    """The cell's report from its per-chunk moments, merged in chunk order."""
     total = _Moments()
     for m in chunks:
         total.n += m.n
@@ -430,19 +457,10 @@ def run_estimator(
     else:
         variance = total.variance
         n_eff = total.n
-    price = total.mean
     std_err = float(np.sqrt(variance / n_eff)) if n_eff > 1 else float("nan")
-    prob = total.pos / total.n
-
     if kind is EstimatorKind.CLASSIC:
         var_red = 1.0
     else:
-        if classic_variance is None:
-            base = run_estimator(
-                EstimatorKind.CLASSIC, spec, params, grid, n_paths, seed,
-                workers=workers, factory=factory,
-            )
-            classic_variance = base.variance
         var_red = classic_variance / variance if variance > 0.0 else float("inf")
 
     return EstimatorReport(
@@ -451,14 +469,154 @@ def run_estimator(
         n_paths=int(n_eff),
         n_steps=grid.n_steps,
         seed=seed,
-        price=price,
+        price=total.mean,
         std_err=std_err,
         variance=variance,
         var_reduction=var_red,
-        prob_positive=prob,
+        prob_positive=total.pos / total.n,
         wall_time_s=wall,
         drift_time_s=drift_secs,
     )
+
+
+@dataclass
+class _ChunkGroup:
+    """Consecutive chunks of a table whose increments are drawn once for every cell."""
+
+    first: int
+    sizes: list[int]
+    increments: list[tuple[np.ndarray, np.ndarray]]
+    pool: ThreadPoolExecutor | None
+    mirrored: bool = False
+
+    def mirror(self) -> None:
+        """Replace each chunk's block by the antithetic pairs of its first
+        ceil(size / 2) rows, which takes no more memory than the block and
+        frees it: every other cell must run before this."""
+        if not self.mirrored:
+            self.increments = _map_chunks(
+                lambda j: sim.mirror_increments(
+                    *(a[: (self.sizes[j] + 1) // 2] for a in self.increments[j])
+                ),
+                range(len(self.sizes)), self.pool,
+            )
+            self.mirrored = True
+
+
+@dataclass
+class _TableCell:
+    """One (kind, strike) cell of a table, accumulated over chunk groups."""
+
+    kind: EstimatorKind
+    spec: PayoffSpec
+    drift: tuple[DriftSchedule | None, float] | None = None  # (schedule, build s) once built
+    chunks: list[_Moments] = field(default_factory=list)
+    wall: float = 0.0
+    error: str = ""
+
+
+def _build_drift(
+    kind: EstimatorKind, spec: PayoffSpec, factory: DriftFactory
+) -> tuple[DriftSchedule | None, float]:
+    if kind in (EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC):
+        return None, 0.0
+    try:
+        if kind not in DRIFT_KINDS:
+            raise DomainError(f"{kind.value} runs only in the constant-vol comparison")
+        return factory.build(kind, spec)
+    except (OptimError, DomainError) as e:
+        raise type(e)(f"{_label(kind, spec.strike)}: {e}") from e
+
+
+def run_estimator(
+    kind: EstimatorKind,
+    spec: PayoffSpec,
+    params: HestonParams,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    classic_variance: float | None = None,
+    workers: int = 1,
+    factory: DriftFactory | None = None,
+    shared: tuple[_ChunkGroup, _TableCell] | None = None,
+) -> EstimatorReport | None:
+    """Price one (kind, strike) cell; errors name the cell ("kind @ K=strike: ...").
+
+    With ``shared=(group, cell)``, as ``run_table`` calls it, run only the
+    group's chunks on their pre-drawn increments, add their moments and the
+    elapsed time to ``cell`` and return None; ``n_paths``,
+    ``classic_variance`` and ``workers`` are then not used.
+    """
+    validate(params)
+    group, cell = shared if shared is not None else (None, None)
+    if cell is not None and cell.drift is not None:
+        drift, drift_secs = cell.drift
+    else:
+        drift, drift_secs = _build_drift(kind, spec, factory or DriftFactory(params, grid))
+        if cell is not None:
+            cell.drift = (drift, drift_secs)
+
+    def run_chunk(i: int, size: int, increments=None) -> _Moments:
+        return _chunk_moments(
+            kind, spec, params, grid, drift, size, sim.RngSpec(seed, i), increments
+        )
+
+    if group is not None:
+        t0 = time.perf_counter()
+        if kind is EstimatorKind.ANTITHETIC:
+            group.mirror()
+        cell.chunks += _map_chunks(
+            lambda j: run_chunk(group.first + j, group.sizes[j], group.increments[j]),
+            range(len(group.sizes)), group.pool,
+        )
+        cell.wall += time.perf_counter() - t0
+        return None
+
+    sizes = _chunk_sizes(n_paths)
+    t0 = time.perf_counter()
+    with _thread_pool(workers) as pool:
+        chunks = _map_chunks(lambda i: run_chunk(i, sizes[i]), range(len(sizes)), pool)
+    wall = time.perf_counter() - t0
+    if kind is not EstimatorKind.CLASSIC and classic_variance is None:
+        classic_variance = run_estimator(
+            EstimatorKind.CLASSIC, spec, params, grid, n_paths, seed,
+            workers=workers, factory=factory,
+        ).variance
+    return _report(kind, spec, grid, seed, chunks, wall, drift_secs, classic_variance)
+
+
+def _run_group(
+    first: int,
+    sizes: list[int],
+    cells: list[_TableCell],
+    params: HestonParams,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    factory: DriftFactory,
+    pool: ThreadPoolExecutor | None,
+) -> None:
+    """Draw the group's increments once and run every live cell on them."""
+    t0 = time.perf_counter()
+    group = _ChunkGroup(first, sizes, _map_chunks(
+        lambda j: sim.normal_increments(
+            sim.RngSpec(seed, first + j), sizes[j], grid.n_steps, grid.dt
+        ),
+        range(len(sizes)), pool,
+    ), pool)
+    draw_s = time.perf_counter() - t0
+    live = [c for c in cells if not c.error]
+    for cell in live:
+        cell.wall += draw_s / len(live)
+        try:
+            run_estimator(
+                cell.kind, cell.spec, params, grid, n_paths, seed,
+                factory=factory, shared=(group, cell),
+            )
+        except (OptimError, DomainError) as e:
+            if cell.kind is EstimatorKind.CLASSIC:
+                raise
+            cell.error = str(e)
 
 
 def run_table(
@@ -473,39 +631,51 @@ def run_table(
 ) -> list[EstimatorReport]:
     """One report per (strike, kind), matched seeds per strike, sorted by strike.
 
-    Cell failures are reported inline (nan metrics, error message kept) without
-    aborting the table.
+    Every cell runs on the same chunk streams, so the table draws each chunk's
+    increments once: it walks the chunks in groups of ``workers`` and runs
+    every cell on a group before drawing the next. A cell's ``wall_time_s`` is
+    the elapsed time of its own chunk work plus an equal share of each group's
+    draw time. Cell failures are reported inline (nan metrics, error message
+    "kind @ K=strike: reason" kept) without aborting the table.
     """
-    reports: list[EstimatorReport] = []
+    if not kinds:
+        return []
     factory = DriftFactory(params, grid)
+    rows = []
     for strike in sorted(strikes):
         spec = make_payoff(payoff_kind, strike, grid.t_end)
-        base = run_estimator(
-            EstimatorKind.CLASSIC, spec, params, grid, n_paths, seed,
-            workers=workers, factory=factory,
-        )
+        base = _TableCell(EstimatorKind.CLASSIC, spec)
+        rows.append((base, [_TableCell(kind, spec) for kind in kinds
+                            if kind is not EstimatorKind.CLASSIC]))
+    cells = [c for base, others in rows for c in [base, *others]]
+    # Antithetic cells go last: they replace the group's blocks by mirrored pairs
+    cells.sort(key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
+
+    sizes = _chunk_sizes(n_paths)
+    step = max(workers, 1)
+    with _thread_pool(workers) as pool:
+        for first in range(0, len(sizes), step):
+            _run_group(first, sizes[first:first + step], cells, params, grid,
+                       n_paths, seed, factory, pool)
+
+    reports: list[EstimatorReport] = []
+    for base, others in rows:
+        classic = _report(EstimatorKind.CLASSIC, base.spec, grid, seed, base.chunks,
+                          base.wall, 0.0, None)
         if EstimatorKind.CLASSIC in kinds:
-            reports.append(base)
-        for kind in kinds:
-            if kind is EstimatorKind.CLASSIC:
-                continue
-            try:
-                reports.append(
-                    run_estimator(
-                        kind, spec, params, grid, n_paths, seed,
-                        classic_variance=base.variance, workers=workers, factory=factory,
-                    )
-                )
-            except (OptimError, DomainError) as e:
-                reports.append(
-                    EstimatorReport(
-                        kind=kind.value, strike=strike, n_paths=n_paths,
-                        n_steps=grid.n_steps, seed=seed, price=float("nan"),
-                        std_err=float("nan"), variance=float("nan"),
-                        var_reduction=float("nan"), prob_positive=float("nan"),
-                        wall_time_s=0.0, drift_time_s=0.0, error=str(e),
-                    )
-                )
+            reports.append(classic)
+        for cell in others:
+            if cell.error:
+                reports.append(EstimatorReport(
+                    kind=cell.kind.value, strike=cell.spec.strike, n_paths=n_paths,
+                    n_steps=grid.n_steps, seed=seed, price=float("nan"),
+                    std_err=float("nan"), variance=float("nan"),
+                    var_reduction=float("nan"), prob_positive=float("nan"),
+                    wall_time_s=0.0, drift_time_s=0.0, error=cell.error,
+                ))
+            else:
+                reports.append(_report(cell.kind, cell.spec, grid, seed, cell.chunks,
+                                       cell.wall, cell.drift[1], classic.variance))
     return reports
 
 

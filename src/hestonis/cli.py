@@ -175,7 +175,10 @@ def cmd_price(cfg: RunConfig) -> int:
             cfg.n_paths, cfg.seed, workers=cfg.workers,
         )
     _emit(reports_to_csv(reports, stable_output=cfg.stable_output), cfg.out)
-    return 2 if any(r.error for r in reports) else 0
+    failed = [r for r in reports if r.error]
+    for r in failed:
+        print(r.error, file=sys.stderr)  # "kind @ K=strike: reason"
+    return 2 if failed else 0
 
 
 def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:

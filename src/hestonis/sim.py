@@ -71,7 +71,11 @@ class PathBatch:
 def normal_increments(
     rng: RngSpec, n_paths: int, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n_paths, n_steps) blocks of N(0, dt) increments via inverse CDF."""
+    """Two (n_paths, n_steps) blocks of N(0, dt) increments via inverse CDF.
+
+    The stream fills the rows in order, so the first m rows of a draw equal
+    a draw of m rows from the same ``rng``.
+    """
     gen = rng.generator()
     z = gen.random((n_paths, 2 * n_steps))
     z += 2.0**-54  # keep uniforms strictly inside (0, 1) for ndtri
@@ -132,11 +136,34 @@ def _evolve(
     return x, v, v_raw, logw
 
 
+def _take_increments(
+    rng: RngSpec, n_paths: int, grid: TimeGrid, increments
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-drawn (dw, dw_perp) blocks of ``n_paths`` rows, or a fresh draw from ``rng``."""
+    if increments is None:
+        return normal_increments(rng, n_paths, grid.n_steps, grid.dt)
+    dw, dwp = increments
+    if dw.shape != (n_paths, grid.n_steps) or dwp.shape != dw.shape:
+        raise DomainError(
+            f"increments of shape {dw.shape}/{dwp.shape} do not match "
+            f"({n_paths}, {grid.n_steps})"
+        )
+    return dw, dwp
+
+
 def simulate_p(
-    params: HestonParams, grid: TimeGrid, n_paths: int, rng: RngSpec
+    params: HestonParams,
+    grid: TimeGrid,
+    n_paths: int,
+    rng: RngSpec,
+    increments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PathBatch:
-    """Paths under the base measure."""
-    dw, dwp = normal_increments(rng, n_paths, grid.n_steps, grid.dt)
+    """Paths under the base measure.
+
+    ``increments`` are the (dw, dw_perp) blocks ``normal_increments(rng, ...)``
+    would return, when the caller has already drawn them.
+    """
+    dw, dwp = _take_increments(rng, n_paths, grid, increments)
     x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None)
     return PathBatch(x, v, v_raw, dw, dwp, grid, rng)
 
@@ -147,25 +174,46 @@ def simulate_q(
     n_paths: int,
     rng: RngSpec,
     drift: DriftSchedule,
+    increments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PathBatch:
     """Paths under the drift-shifted measure; retains Q-increments and weights."""
     drift.check_grid(grid)
-    dw, dwp = normal_increments(rng, n_paths, grid.n_steps, grid.dt)
+    dw, dwp = _take_increments(rng, n_paths, grid, increments)
     x, v, v_raw, logw = _evolve(params, grid, dw, dwp, drift)
     return PathBatch(x, v, v_raw, dw, dwp, grid, rng, log_inv_weight=logw)
 
 
+def mirror_increments(
+    dw_half: np.ndarray, dwp_half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Antithetic blocks of 2m rows from m rows: row 2k is row k, row 2k+1 its negation."""
+    out = []
+    for half in (dw_half, dwp_half):
+        full = np.empty((2 * half.shape[0], half.shape[1]))
+        full[0::2], full[1::2] = half, -half
+        out.append(full)
+    return out[0], out[1]
+
+
 def antithetic_pairs(
-    params: HestonParams, grid: TimeGrid, n_paths: int, rng: RngSpec
+    params: HestonParams,
+    grid: TimeGrid,
+    n_paths: int,
+    rng: RngSpec,
+    increments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PathBatch:
-    """Mirrored-increment pairs: path 2k+1 negates the increments of path 2k."""
+    """Mirrored-increment pairs: path 2k+1 negates the increments of path 2k.
+
+    ``increments``, when given, are the mirrored (dw, dw_perp) blocks that
+    ``mirror_increments`` builds from the first ``n_paths // 2`` rows of the
+    stream's draw.
+    """
     if n_paths % 2 != 0:
         raise DomainError("antithetic batches need an even number of paths")
-    half = n_paths // 2
-    dw_h, dwp_h = normal_increments(rng, half, grid.n_steps, grid.dt)
-    dw = np.empty((n_paths, grid.n_steps))
-    dwp = np.empty((n_paths, grid.n_steps))
-    dw[0::2], dw[1::2] = dw_h, -dw_h
-    dwp[0::2], dwp[1::2] = dwp_h, -dwp_h
+    if increments is None:
+        increments = mirror_increments(
+            *normal_increments(rng, n_paths // 2, grid.n_steps, grid.dt)
+        )
+    dw, dwp = _take_increments(rng, n_paths, grid, increments)
     x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None)
     return PathBatch(x, v, v_raw, dw, dwp, grid, rng)

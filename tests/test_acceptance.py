@@ -49,6 +49,8 @@ from hestonis.payoff import PayoffKind, european_weight, make_payoff
 from hestonis.selftest import _gamma_mc_constants, riccati_reference_constant_alpha
 from hestonis.sim import RngSpec, simulate_p
 
+pytestmark = pytest.mark.acceptance
+
 PARAMS = EQUITY_PARAMS
 GRID = TimeGrid(252, 1.0)
 N_PATHS = 100_000

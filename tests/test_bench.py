@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
+from hestonis import bench
 from hestonis.bench import (
+    CHUNK_PATHS,
     CSV_COLUMNS,
     EstimatorKind,
     geometric_asian_price_bs,
@@ -10,7 +14,8 @@ from hestonis.bench import (
     run_estimator,
     run_table,
 )
-from hestonis.errors import DomainError
+from hestonis.errors import DomainError, OptimError
+from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
 from hestonis import sim
@@ -89,12 +94,13 @@ def test_run_table_sorts_strikes_and_pairs_seeds(params, small_grid):
 def test_run_table_reports_cell_failures_inline(params, small_grid):
     reports = run_table(
         PayoffKind.VOL_INDICATOR_SWAP, [50.0],
-        [EstimatorKind.CLASSIC, EstimatorKind.MDP_LT], params, small_grid,
-        2_000, SEED,
+        [EstimatorKind.CLASSIC, EstimatorKind.MDP_LT, EstimatorKind.CONTROL_GEOMETRIC],
+        params, small_grid, 2_000, SEED,
     )
     by_kind = {r.kind: r for r in reports}
-    assert by_kind["MDPlt"].error != ""
-    assert np.isnan(by_kind["MDPlt"].price)
+    for kind in ("MDPlt", "ControlGeometric"):
+        assert by_kind[kind].error.startswith(f"{kind} @ K=50.0: ")
+        assert np.isnan(by_kind[kind].price)
     assert by_kind["Classic"].error == ""
 
 
@@ -145,3 +151,51 @@ def test_appendix_rejects_heston_only_kinds(params, small_grid):
         run_appendix_estimator(
             EstimatorKind.LDP_SN, 50.0, params, 0.25, small_grid, 1_000, SEED
         )
+
+
+def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec50):
+    kinds = [EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC, EstimatorKind.BS,
+             EstimatorKind.BS_A, EstimatorKind.BS_A2]
+    n = CHUNK_PATHS + 1001  # odd remainder chunk
+    base = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, n, SEED)
+    single = [base] + [
+        run_estimator(kind, spec50, params, small_grid, n, SEED,
+                      classic_variance=base.variance)
+        for kind in kinds[1:]
+    ]
+    for workers in (1, 2):
+        t0 = time.perf_counter()
+        table = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0], kinds, params,
+                          small_grid, n, SEED, workers=workers)
+        # cells and draws run one after another, so their times fit in the call
+        assert sum(r.wall_time_s for r in table) <= time.perf_counter() - t0
+        assert [r.kind for r in table] == [k.value for k in kinds]
+        for a, b in zip(single, table):
+            assert (a.price, a.variance, a.std_err, a.prob_positive, a.var_reduction,
+                    a.n_paths) == \
+                (b.price, b.variance, b.std_err, b.prob_positive, b.var_reduction,
+                 b.n_paths), (a.kind, workers)
+            assert b.wall_time_s > 0.0
+
+
+def test_overflowing_weights_mask_zero_payoffs():
+    values, pos = bench._weighted(np.array([0.0, 2.0, 0.0]), np.array([800.0, 0.0, -5.0]))
+    assert np.array_equal(values, [0.0, 2.0, 0.0])
+    assert np.array_equal(pos, [0.0, 1.0, 0.0])
+
+
+def test_non_finite_chunk_sum_is_a_cell_error(params, small_grid, spec50, monkeypatch):
+    h = np.full(small_grid.n_steps + 1, 500.0)  # drives S to overflow, weights to 0
+    oversized = DriftSchedule(DriftMode.DETERMINISTIC, h, h.copy(), provenance="test")
+    monkeypatch.setattr(bench.DriftFactory, "build", lambda self, kind, spec: (oversized, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OptimError, match=r"^BS @ K=50.0: non-finite"):
+            run_estimator(EstimatorKind.BS, spec50, params, small_grid, 500, SEED,
+                          classic_variance=1.0)
+        reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
+                            [EstimatorKind.CLASSIC, EstimatorKind.BS], params,
+                            small_grid, 500, SEED)
+    by_kind = {r.kind: r for r in reports}
+    assert by_kind["BS"].error.startswith("BS @ K=50.0: non-finite")
+    assert np.isnan(by_kind["BS"].price)
+    assert by_kind["Classic"].error == "" and np.isfinite(by_kind["Classic"].price)

@@ -30,6 +30,20 @@ def test_minimal_price_run_one_row(capsys):
     assert lines[1].startswith("Classic,50.0,400,16,")
 
 
+def test_failed_cell_names_itself_on_stderr(capsys):
+    # the large-time drift has no variance-payoff form, so that cell cannot run
+    code, out, err = run_cli(
+        capsys, "price", "--payoff", "vol_indicator_swap", "--strikes", "50",
+        "--kinds", "Classic,MDPlt", "--paths", "400", "--steps", "16", "--stable-output",
+    )
+    assert code == 2
+    assert out.splitlines()[2].startswith("MDPlt,50.0,400,16,")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("MDPlt @ K=50.0: ")
+    assert "not offered for variance payoffs" in lines[0]
+
+
 def test_invalid_rho_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rho = 1.5\n")

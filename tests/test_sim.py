@@ -9,6 +9,7 @@ from hestonis.sim import (
     RngSpec,
     _evolve,
     antithetic_pairs,
+    mirror_increments,
     normal_increments,
     simulate_p,
     simulate_q,
@@ -144,3 +145,43 @@ def test_stream_reproducibility(params, grid):
     c = simulate_p(params, grid, 100, RngSpec(77, 4))
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.dw, c.dw)
+
+
+@pytest.mark.parametrize("m", [1, 250, 251])
+def test_increments_of_fewer_rows_are_a_row_prefix(grid, m):
+    rng = RngSpec(5, 2)
+    dw_n, dwp_n = normal_increments(rng, 501, grid.n_steps, grid.dt)
+    dw_m, dwp_m = normal_increments(rng, m, grid.n_steps, grid.dt)
+    assert np.array_equal(dw_m, dw_n[:m])
+    assert np.array_equal(dwp_m, dwp_n[:m])
+
+
+def test_pre_drawn_increments_reproduce_fresh_draws(params, grid):
+    rng = RngSpec(8, 1)
+    block = normal_increments(rng, 51, grid.n_steps, grid.dt)
+    drift = DriftSchedule(
+        DriftMode.ADAPTIVE, np.full(grid.n_steps + 1, 0.4), np.full(grid.n_steps + 1, -0.2)
+    )
+    for fresh, shared in (
+        (simulate_p(params, grid, 51, rng), simulate_p(params, grid, 51, rng, block)),
+        (simulate_q(params, grid, 51, rng, drift),
+         simulate_q(params, grid, 51, rng, drift, block)),
+        (antithetic_pairs(params, grid, 52, rng),
+         antithetic_pairs(params, grid, 52, rng,
+                          mirror_increments(block[0][:26], block[1][:26]))),
+    ):
+        assert np.array_equal(fresh.x, shared.x)
+        assert np.array_equal(fresh.v_raw, shared.v_raw)
+        assert np.array_equal(fresh.dw, shared.dw)
+    assert np.array_equal(
+        simulate_q(params, grid, 51, rng, drift).log_inv_weight,
+        simulate_q(params, grid, 51, rng, drift, block).log_inv_weight,
+    )
+
+
+def test_pre_drawn_increments_of_wrong_shape_rejected(params, grid):
+    block = normal_increments(RngSpec(8), 10, grid.n_steps, grid.dt)
+    with pytest.raises(DomainError):
+        simulate_p(params, grid, 11, RngSpec(8), block)
+    with pytest.raises(DomainError):
+        antithetic_pairs(params, grid, 20, RngSpec(8), block)
