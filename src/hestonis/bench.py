@@ -5,7 +5,9 @@ estimator.
 Paths are generated in fixed-size chunks with independent Philox streams
 (seed, chunk index), so results are identical no matter how many workers
 consume the chunks. Reductions accumulate per-chunk partial sums and combine
-them in chunk order.
+them in chunk order. One engine runs every table: the Heston tables and the
+constant-volatility arithmetic-Asian comparison differ only in the per-chunk
+path kernel and in the kinds their table offers (``KINDS``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import enum
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm
@@ -72,25 +75,48 @@ class EstimatorKind(enum.Enum):
         raise DomainError(f"unknown estimator kind {name!r}")
 
 
-ADAPTIVE_KINDS = {
-    EstimatorKind.BS_A,
-    EstimatorKind.LDP_SN_A,
-    EstimatorKind.LDP_ST_A,
-    EstimatorKind.MDP_SN_LOG_A,
-    EstimatorKind.MDP_SN_A,
-    EstimatorKind.MDP_ST_A,
+class Table(enum.Enum):
+    """The tables a kind can be offered in; each value completes "<kind> is not offered ..."."""
+
+    CALL = "for call payoffs"  # Heston, weighted call payoffs
+    VARIANCE = "for variance payoffs"  # Heston, integrated-variance indicator
+    CONSTANT_VOL = "in the constant-vol comparison"  # arithmetic-Asian call
+
+
+class KindEntry(NamedTuple):
+    pipeline: str | None  # drift pipeline; None for a kind without drift
+    mode: DriftMode | None  # how the pipeline's drift is applied
+    tables: frozenset  # the Tables that offer the kind
+
+
+_ALL, _CALL = frozenset(Table), frozenset({Table.CALL})
+_HESTON = _ALL - {Table.CONSTANT_VOL}
+_DET, _ADA = DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE
+
+#: The one kind registry. The det and adaptive kinds of a pipeline share its
+#: cached solve at a strike (BS/BS_A, the LDP pairs, every variance-payoff
+#: pipeline) except where the solve takes the mode (the MDP pipelines).
+KINDS = {
+    EstimatorKind.CLASSIC: KindEntry(None, None, _ALL),
+    EstimatorKind.ANTITHETIC: KindEntry(None, None, _ALL),
+    EstimatorKind.CONTROL_GEOMETRIC: KindEntry(None, None, _ALL - _HESTON),
+    EstimatorKind.BS: KindEntry("bs", _DET, _ALL),
+    EstimatorKind.BS_A: KindEntry("bs", _ADA, _HESTON),
+    EstimatorKind.BS_A2: KindEntry("bs_a2", DriftMode.PER_STEP_ADAPTIVE, _CALL),
+    EstimatorKind.LDP_SN: KindEntry("ldp_sn", _DET, _HESTON),
+    EstimatorKind.LDP_SN_A: KindEntry("ldp_sn", _ADA, _HESTON),
+    EstimatorKind.LDP_ST: KindEntry("ldp_st", _DET, _CALL),
+    EstimatorKind.LDP_ST_A: KindEntry("ldp_st", _ADA, _CALL),
+    EstimatorKind.MDP_SN_LOG: KindEntry("mdp_log", _DET, _CALL),
+    EstimatorKind.MDP_SN_LOG_A: KindEntry("mdp_log", _ADA, _CALL),
+    EstimatorKind.MDP_SN: KindEntry("mdp_price", _DET, _HESTON),
+    EstimatorKind.MDP_SN_A: KindEntry("mdp_price", _ADA, _HESTON),
+    EstimatorKind.MDP_ST: KindEntry("mdp_st", _DET, _CALL),
+    EstimatorKind.MDP_ST_A: KindEntry("mdp_st", _ADA, _CALL),
+    EstimatorKind.MDP_LT: KindEntry("mdp_lt", _DET, _CALL),
 }
 
-DRIFT_KINDS = ADAPTIVE_KINDS | {
-    EstimatorKind.BS,
-    EstimatorKind.BS_A2,
-    EstimatorKind.LDP_SN,
-    EstimatorKind.LDP_ST,
-    EstimatorKind.MDP_SN_LOG,
-    EstimatorKind.MDP_SN,
-    EstimatorKind.MDP_ST,
-    EstimatorKind.MDP_LT,
-}
+LDP_MODES = {"ldp_sn": LdpMode.SMALL_NOISE, "ldp_st": LdpMode.SMALL_TIME}
 
 
 @dataclass(frozen=True)
@@ -135,11 +161,16 @@ def reports_to_csv(reports: list[EstimatorReport], stable_output: bool = False) 
 # ---------------------------------------------------------------------------
 
 class DriftFactory:
-    """Builds and caches drift schedules per (pipeline, strike)."""
+    """The model a table runs under, and its drift builds cached per (pipeline, strike).
 
-    def __init__(self, params: HestonParams, grid: TimeGrid):
+    The model is Heston with ``params``, or constant volatility ``sigma``
+    (with ``params``' spot, rate and horizon) when ``sigma`` is given.
+    """
+
+    def __init__(self, params: HestonParams, grid: TimeGrid, sigma: float | None = None):
         self.params = params
         self.grid = grid
+        self.sigma = sigma
         self._cache: dict = {}
 
     def _cached(self, key, builder):
@@ -149,94 +180,101 @@ class DriftFactory:
             self._cache[key] = (value, time.perf_counter() - t0)
         return self._cache[key]
 
-    def build(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[DriftSchedule, float]:
+    def table(self, spec: PayoffSpec) -> Table:
+        if self.sigma is not None:
+            return Table.CONSTANT_VOL
         if spec.kind is PayoffKind.VOL_INDICATOR_SWAP:
-            return self._build_varswap(kind, spec)
-        alpha = spec.weight if spec.weight is not None else geometric_weight(self.grid.t_end)
-        p, g = self.params, self.grid
-        mode = DriftMode.ADAPTIVE if kind in ADAPTIVE_KINDS else DriftMode.DETERMINISTIC
+            return Table.VARIANCE
+        return Table.CALL
 
-        if kind in (EstimatorKind.BS, EstimatorKind.BS_A):
-            (red, sigma), secs = self._cached(
-                ("bs", spec.strike),
-                lambda: (
-                    bs_beta(spec, np.sqrt(psi_deterministic(p, g)), alpha, g, p),
-                    np.sqrt(psi_deterministic(p, g)),
-                ),
-            )
-            return bs_drift(red.beta_star, sigma, red.alpha, p.rho, g, mode), secs
-        if kind is EstimatorKind.BS_A2:
-            (sched,), secs = self._cached(
-                ("bs_a2", spec.strike), lambda: (bs_fully_adaptive(spec, p, g),)
-            )
-            return sched, secs
-        if kind in (EstimatorKind.LDP_SN, EstimatorKind.LDP_SN_A):
-            return self._ldp(spec, alpha, LdpMode.SMALL_NOISE, mode)
-        if kind in (EstimatorKind.LDP_ST, EstimatorKind.LDP_ST_A):
-            return self._ldp(spec, alpha, LdpMode.SMALL_TIME, mode)
-        if kind in (EstimatorKind.MDP_SN_LOG, EstimatorKind.MDP_SN_LOG_A):
-            (d,), secs = self._cached(
-                ("mdp_log", spec.strike, mode),
-                lambda: (mdp_log_drift(spec, alpha, p, g, mode),),
-            )
-            return d, secs
-        if kind in (EstimatorKind.MDP_SN, EstimatorKind.MDP_SN_A):
-            (d,), secs = self._cached(
-                ("mdp_price", spec.strike, mode),
-                lambda: (mdp_price_drift(spec, alpha, p, g, mode),),
-            )
-            return d, secs
-        if kind in (EstimatorKind.MDP_ST, EstimatorKind.MDP_ST_A):
-            (d,), secs = self._cached(
-                ("mdp_st", spec.strike, mode),
-                lambda: (mdp_small_time_drift(spec, alpha, p, g, mode),),
-            )
-            return d, secs
-        if kind is EstimatorKind.MDP_LT:
-            (d,), secs = self._cached(
-                ("mdp_lt", spec.strike), lambda: (mdp_large_time_drift(spec, alpha, p, g),)
-            )
-            return d, secs
-        raise DomainError(f"{kind.value} carries no drift")
+    def entry(self, kind: EstimatorKind, spec: PayoffSpec) -> KindEntry:
+        """The kind's registry entry; DomainError when this table does not offer it."""
+        table = self.table(spec)
+        entry = KINDS[kind]
+        if table not in entry.tables:
+            raise DomainError(f"{kind.value} is not offered {table.value}")
+        return entry
 
-    def _ldp(self, spec, alpha, ldp_mode, out_mode):
+    def build(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[DriftSchedule, float]:
+        entry = self.entry(kind, spec)
+        if entry.pipeline is None:
+            raise DomainError(f"{kind.value} carries no drift")
+        return self.build_pipeline(entry.pipeline, spec, entry.mode)
+
+    def build_pipeline(
+        self, pipeline: str, spec: PayoffSpec, mode: DriftMode
+    ) -> tuple[DriftSchedule, float]:
+        """(schedule, build seconds) of ``pipeline`` at the spec's strike, applied in ``mode``."""
+        return self._PIPELINES[pipeline, self.table(spec)](self, pipeline, spec, mode)
+
+    def _alpha(self, spec):
+        return spec.weight if spec.weight is not None else geometric_weight(self.grid.t_end)
+
+    def _bs(self, pipeline, spec, mode):
         p, g = self.params, self.grid
-        (a0_s, beta_s, _), secs = self._cached(
-            ("ldp", ldp_mode, spec.strike), lambda: ldp_optimum(spec, alpha, p, g, ldp_mode)
+        (red, sigma), secs = self._cached(
+            ("bs", spec.strike),
+            lambda: (
+                bs_beta(spec, np.sqrt(psi_deterministic(p, g)), self._alpha(spec), g, p),
+                np.sqrt(psi_deterministic(p, g)),
+            ),
         )
-        paths = ldp_paths(beta_s, a0_s, alpha, p, g, ldp_mode)
-        tag = f"ldp_{ldp_mode.value}"
-        if out_mode is DriftMode.ADAPTIVE:
+        return bs_drift(red.beta_star, sigma, red.alpha, p.rho, g, mode), secs
+
+    def ldp_solution(self, pipeline: str, spec: PayoffSpec):
+        """(LdpPaths, build seconds) of an LDP pipeline's optimum at the spec's strike."""
+        p, g, ldp_mode, alpha = self.params, self.grid, LDP_MODES[pipeline], self._alpha(spec)
+
+        def solve():
+            a0_s, beta_s, _ = ldp_optimum(spec, alpha, p, g, ldp_mode)
+            return ldp_paths(beta_s, a0_s, alpha, p, g, ldp_mode)
+
+        return self._cached(("ldp", ldp_mode, spec.strike), solve)
+
+    def _ldp(self, pipeline, spec, mode):
+        paths, secs = self.ldp_solution(pipeline, spec)
+        h1, h2 = paths.xdot1, paths.xdot2
+        if mode is DriftMode.ADAPTIVE:
             sqp = np.sqrt(paths.psi)
-            return (
-                DriftSchedule(DriftMode.ADAPTIVE, paths.xdot1 / sqp, paths.xdot2 / sqp, tag),
-                secs,
-            )
-        return DriftSchedule(DriftMode.DETERMINISTIC, paths.xdot1, paths.xdot2, tag), secs
+            h1, h2 = h1 / sqp, h2 / sqp
+        return DriftSchedule(mode, h1, h2, f"ldp_{LDP_MODES[pipeline].value}"), secs
+
+    def _solved(self, pipeline, spec, mode):
+        """Pipelines whose solve gives the schedule itself, cached per (strike, mode)."""
+        p, g, alpha = self.params, self.grid, self._alpha(spec)
+        solve = {
+            "bs_a2": lambda: bs_fully_adaptive(spec, p, g),
+            "mdp_log": lambda: mdp_log_drift(spec, alpha, p, g, mode),
+            "mdp_price": lambda: mdp_price_drift(spec, alpha, p, g, mode),
+            "mdp_st": lambda: mdp_small_time_drift(spec, alpha, p, g, mode),
+            "mdp_lt": lambda: mdp_large_time_drift(spec, alpha, p, g),
+        }[pipeline]
+        return self._cached((pipeline, spec.strike, mode), solve)
+
+    def _const_vol_bs(self, pipeline, spec, mode):
+        """The geometric-call BS drift at the same strike, a surrogate for the
+        arithmetic payoff: profile beta* alpha sigma on the one Brownian channel."""
+        g, sigma = self.grid, self.sigma
+
+        def solve():
+            w = geometric_weight(g.t_end)
+            geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
+            red = bs_beta(geo, np.full(g.n_steps + 1, sigma), w, g, self.params)
+            profile = red.beta_star * w.on_grid(g) * sigma
+            return DriftSchedule(mode, profile, np.zeros_like(profile), "bs_const_vol")
+
+        return self._cached(("bs", spec.strike), solve)
 
     # -- variance-payoff drifts (no closed form: reduced-basis solves) -------
 
-    def _build_varswap(self, kind: EstimatorKind, spec: PayoffSpec):
-        p, g = self.params, self.grid
-        mode = DriftMode.ADAPTIVE if kind in ADAPTIVE_KINDS else DriftMode.DETERMINISTIC
-        psi = psi_deterministic(p, g)
-        if kind in (EstimatorKind.LDP_SN, EstimatorKind.LDP_SN_A):
-            (prof1, prof2), secs = self._cached(
-                ("vs_ldp", spec.strike), lambda: self._solve_vs_ldp(spec)
-            )
-        elif kind in (EstimatorKind.MDP_SN, EstimatorKind.MDP_SN_A):
-            (prof1, prof2), secs = self._cached(
-                ("vs_mdp", spec.strike), lambda: self._solve_vs_mdp(spec)
-            )
-        elif kind in (EstimatorKind.BS, EstimatorKind.BS_A):
-            (prof1, prof2), secs = self._cached(
-                ("vs_bs", spec.strike), lambda: self._solve_vs_bs(spec)
-            )
-        else:
-            raise OptimError(f"{kind.value} is not offered for variance payoffs")
+    def _varswap(self, pipeline, spec, mode):
+        solve = {"ldp_sn": self._solve_vs_ldp, "mdp_price": self._solve_vs_mdp,
+                 "bs": self._solve_vs_bs}[pipeline]
+        (prof1, prof2), secs = self._cached(("vs", pipeline, spec.strike),
+                                            lambda: solve(spec))
         if mode is DriftMode.ADAPTIVE:
-            sqp = np.sqrt(psi)
-            return DriftSchedule(mode, prof1 / sqp, prof2 / sqp, "varswap"), secs
+            sqp = np.sqrt(psi_deterministic(self.params, self.grid))
+            prof1, prof2 = prof1 / sqp, prof2 / sqp
         return DriftSchedule(mode, prof1, prof2, "varswap"), secs
 
     def _vs_log_payoff(self, spec):
@@ -262,25 +300,26 @@ class DriftFactory:
         )
         return shape / float(psi[:-1].sum() * g.dt)
 
-    def _solve_vs_ldp(self, spec):
-        p, g = self.params, self.grid
+    def _solve_with_vega_atom(self, make_problem):
+        """Solve ``make_problem(extra_atoms)``, seeded at unit weight on the
+        variance-response atom that ``extra_atoms`` appends (coefficient 2)."""
         vega = self._variance_response_atom()
-        zero = np.zeros_like(vega)
-        problem = ldp_problem(
-            None, p, g, LdpMode.SMALL_NOISE, payoff_log=self._vs_log_payoff(spec),
-            extra_atoms=[(vega, zero)], n_hats=9,
-        )
+        problem = make_problem([(vega, np.zeros_like(vega))])
         init = np.zeros(problem.n_coeffs)
-        init[2] = 1.0  # unit weight on the variance-response atom
+        init[2] = 1.0
         problem.seed_coeffs = [init]
         coeffs, _ = varopt.solve(problem, init=init, budget=3000)
-        prof1, prof2 = problem.expand(coeffs)
-        return prof1, prof2
+        return problem.expand(coeffs)
+
+    def _solve_vs_ldp(self, spec):
+        return self._solve_with_vega_atom(lambda atoms: ldp_problem(
+            None, self.params, self.grid, LdpMode.SMALL_NOISE,
+            payoff_log=self._vs_log_payoff(spec), extra_atoms=atoms, n_hats=9,
+        ))
 
     def _solve_vs_mdp(self, spec):
         p, g = self.params, self.grid
         t = g.knots
-        psi = psi_deterministic(p, g)
 
         def payoff_log(phi_dot_fluct, psi_, eta):
             v_proxy = psi_ + eta
@@ -291,16 +330,9 @@ class DriftFactory:
             val = float((v_proxy[:-1] * (s[:-1] >= spec.strike)).sum() * g.dt)
             return np.log(val) if val > 0.0 else -np.inf
 
-        vega = self._variance_response_atom()
-        zero = np.zeros_like(vega)
-        problem = mdp_log_problem(
-            None, p, g, payoff_log=payoff_log, extra_atoms=[(vega, zero)], n_hats=9
-        )
-        init = np.zeros(problem.n_coeffs)
-        init[2] = 1.0
-        problem.seed_coeffs = [init]
-        coeffs, _ = varopt.solve(problem, init=init, budget=3000)
-        return problem.expand(coeffs)
+        return self._solve_with_vega_atom(lambda atoms: mdp_log_problem(
+            None, p, g, payoff_log=payoff_log, extra_atoms=atoms, n_hats=9
+        ))
 
     def _solve_vs_bs(self, spec):
         """Deterministic-volatility approximation: variance path frozen at psi."""
@@ -331,6 +363,16 @@ class DriftFactory:
         (prof,) = problem.expand(coeffs)
         return p.rho * prof, p.rho_bar * prof
 
+    # (pipeline, table) -> builder; KINDS offers a drift kind only where one exists
+    _PIPELINES = {
+        ("bs", Table.CALL): _bs, ("bs", Table.VARIANCE): _varswap,
+        ("bs", Table.CONSTANT_VOL): _const_vol_bs, ("bs_a2", Table.CALL): _solved,
+        ("ldp_sn", Table.CALL): _ldp, ("ldp_sn", Table.VARIANCE): _varswap,
+        ("ldp_st", Table.CALL): _ldp, ("mdp_log", Table.CALL): _solved,
+        ("mdp_price", Table.CALL): _solved, ("mdp_price", Table.VARIANCE): _varswap,
+        ("mdp_st", Table.CALL): _solved, ("mdp_lt", Table.CALL): _solved,
+    }
+
 
 # ---------------------------------------------------------------------------
 # Chunked estimator runs
@@ -354,12 +396,23 @@ def _map_chunks(fn, chunks, pool: ThreadPoolExecutor | None) -> list:
     return list(pool.map(fn, chunks))
 
 
+def _sample_variance(s1: float, s2: float, n: float) -> float:
+    return max((s2 - s1 * s1 / n) / (n - 1.0), 0.0)
+
+
 @dataclass
 class _Moments:
+    """Sums of the estimator's values (s1, s2) and positive-payoff weights
+    (pos); for the geometric control also the control's sums (c1, c2) and
+    its cross sum with the values."""
+
     n: float = 0.0
     s1: float = 0.0
     s2: float = 0.0
     pos: float = 0.0
+    c1: float = 0.0
+    c2: float = 0.0
+    cross: float = 0.0
 
     def add(self, values: np.ndarray, pos_weight: np.ndarray):
         self.n += values.size
@@ -367,13 +420,22 @@ class _Moments:
         self.s2 += float((values * values).sum())
         self.pos += float(pos_weight.sum())
 
+    def add_control(self, control: np.ndarray, values: np.ndarray):
+        self.c1 += float(control.sum())
+        self.c2 += float((control * control).sum())
+        self.cross += float((values * control).sum())
+
+    def merge(self, other: "_Moments"):
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
     @property
     def mean(self) -> float:
         return self.s1 / self.n
 
     @property
     def variance(self) -> float:
-        return max((self.s2 - self.s1 * self.s1 / self.n) / (self.n - 1.0), 0.0)
+        return _sample_variance(self.s1, self.s2, self.n)
 
 
 def _label(kind: EstimatorKind, strike: float) -> str:
@@ -392,15 +454,42 @@ def _weighted(g: np.ndarray, log_inv_weight: np.ndarray) -> tuple[np.ndarray, np
         return np.where(hit, g * w, 0.0), np.where(hit, w, 0.0)
 
 
+def _const_vol_paths(
+    sigma: float, grid: TimeGrid, drift: DriftSchedule | None, dw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Constant-vol log paths X on increments ``dw`` and, under a drift, log Z^{-1}.
+
+    The drift's h1 profile shifts the one Brownian channel.
+    """
+    log_inv_weight = None
+    if drift is not None:
+        profile = drift.h1_dot[:-1]
+        log_inv_weight = -(profile * dw).sum(axis=1) - 0.5 * float(
+            (profile ** 2).sum() * grid.dt
+        )
+        dw = dw + profile * grid.dt
+    x = np.zeros((dw.shape[0], grid.n_steps + 1))
+    np.cumsum(-0.5 * sigma * sigma * grid.dt + sigma * dw, axis=1, out=x[:, 1:])
+    return x, log_inv_weight
+
+
+def _geometric_control(
+    x: np.ndarray, params: HestonParams, grid: TimeGrid, strike: float
+) -> np.ndarray:
+    """The geometric-Asian call on the same paths, the arithmetic payoff's control."""
+    alpha = geometric_weight(grid.t_end).on_grid(grid)
+    fwd = params.s0 * np.exp(0.5 * params.r * grid.t_end)
+    return np.maximum(fwd * np.exp(aggregate_log_return(x, alpha)) - strike, 0.0)
+
+
 def _chunk_moments(
     kind: EstimatorKind,
     spec: PayoffSpec,
-    params: HestonParams,
-    grid: TimeGrid,
+    factory: DriftFactory,
     drift: DriftSchedule | None,
     size: int,
     rng: sim.RngSpec,
-    increments: tuple[np.ndarray, np.ndarray] | None = None,
+    increments: tuple[np.ndarray, np.ndarray],
 ) -> _Moments:
     """Moments of one chunk of the (kind, spec) estimator on stream ``rng``.
 
@@ -408,75 +497,41 @@ def _chunk_moments(
     for Antithetic the mirrored pairs of the first ceil(size / 2) rows. Raises
     OptimError naming the cell when a sum is not finite.
     """
-    if kind is EstimatorKind.CLASSIC:
-        batch = sim.simulate_p(params, grid, size, rng, increments=increments)
-    elif kind is EstimatorKind.ANTITHETIC:
-        batch = sim.antithetic_pairs(params, grid, size + size % 2, rng, increments=increments)
+    params, grid = factory.params, factory.grid
+    v = None
+    if factory.sigma is not None:
+        x, log_inv_weight = _const_vol_paths(factory.sigma, grid, drift, increments[0])
     else:
-        batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments)
-    x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
-    del batch  # frees v_raw (and a block drawn here) before the payoff's temporaries
+        if kind is EstimatorKind.CLASSIC:
+            batch = sim.simulate_p(params, grid, size, rng, increments=increments)
+        elif kind is EstimatorKind.ANTITHETIC:
+            batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
+                                         increments=increments)
+        else:
+            batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments)
+        x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
+        del batch  # frees v_raw before the payoff's temporaries
     g = payoff_mod.evaluate(spec, params, grid, x, v)
+    hit = g > 0.0
     m = _Moments()
-    if kind is EstimatorKind.CLASSIC:
-        m.add(g, (g > 0.0).astype(float))
-    elif kind is EstimatorKind.ANTITHETIC:
-        hit = (g > 0.0).astype(float)
+    if kind is EstimatorKind.ANTITHETIC:
+        if factory.sigma is None:
+            hit = hit.astype(float)
+        # else the pair's booleans add as a logical or, as the constant-vol
+        # table has always counted them (its CSVs are pinned by digest)
         m.add(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
+    elif drift is None:
+        m.add(g, hit.astype(float))
     else:
         m.add(*_weighted(g, log_inv_weight))
+    if kind is EstimatorKind.CONTROL_GEOMETRIC:
+        m.add_control(_geometric_control(x, params, grid, spec.strike), g)
     if not np.all(np.isfinite((m.s1, m.s2, m.pos))):
         raise OptimError(
             f"{_label(kind, spec.strike)}: non-finite weighted payoff sum in chunk "
             f"{rng.stream_offset} (s1={m.s1!r}, s2={m.s2!r})"
         )
     return m
-
-
-def _report(
-    kind: EstimatorKind,
-    spec: PayoffSpec,
-    grid: TimeGrid,
-    seed: int,
-    chunks: list[_Moments],
-    wall: float,
-    drift_secs: float,
-    classic_variance: float | None,
-) -> EstimatorReport:
-    """The cell's report from its per-chunk moments, merged in chunk order."""
-    total = _Moments()
-    for m in chunks:
-        total.n += m.n
-        total.s1 += m.s1
-        total.s2 += m.s2
-        total.pos += m.pos
-
-    if kind is EstimatorKind.ANTITHETIC:
-        variance = 2.0 * total.variance  # per-sample equivalent of pair averages
-        n_eff = 2.0 * total.n
-    else:
-        variance = total.variance
-        n_eff = total.n
-    std_err = float(np.sqrt(variance / n_eff)) if n_eff > 1 else float("nan")
-    if kind is EstimatorKind.CLASSIC:
-        var_red = 1.0
-    else:
-        var_red = classic_variance / variance if variance > 0.0 else float("inf")
-
-    return EstimatorReport(
-        kind=kind.value,
-        strike=spec.strike,
-        n_paths=int(n_eff),
-        n_steps=grid.n_steps,
-        seed=seed,
-        price=total.mean,
-        std_err=std_err,
-        variance=variance,
-        var_reduction=var_red,
-        prob_positive=total.pos / total.n,
-        wall_time_s=wall,
-        drift_time_s=drift_secs,
-    )
 
 
 @dataclass
@@ -512,20 +567,64 @@ class _TableCell:
     drift: tuple[DriftSchedule | None, float] | None = None  # (schedule, build s) once built
     chunks: list[_Moments] = field(default_factory=list)
     wall: float = 0.0
-    error: str = ""
+    error: OptimError | DomainError | None = None
 
 
 def _build_drift(
     kind: EstimatorKind, spec: PayoffSpec, factory: DriftFactory
 ) -> tuple[DriftSchedule | None, float]:
-    if kind in (EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC):
-        return None, 0.0
     try:
-        if kind not in DRIFT_KINDS:
-            raise DomainError(f"{kind.value} runs only in the constant-vol comparison")
+        if factory.entry(kind, spec).pipeline is None:
+            return None, 0.0
         return factory.build(kind, spec)
     except (OptimError, DomainError) as e:
         raise type(e)(f"{_label(kind, spec.strike)}: {e}") from e
+
+
+def _report(
+    cell: _TableCell,
+    factory: DriftFactory,
+    n_paths: int,
+    seed: int,
+    classic_variance: float | None,
+) -> EstimatorReport:
+    """The cell's report from its per-chunk moments, merged in chunk order.
+
+    A failed cell gives NaN metrics and keeps its "kind @ K=strike: reason".
+    """
+    kind, strike, grid = cell.kind, cell.spec.strike, factory.grid
+    if cell.error is not None:
+        nan = float("nan")
+        return EstimatorReport(kind.value, strike, n_paths, grid.n_steps, seed, nan, nan,
+                               nan, nan, nan, 0.0, 0.0, error=str(cell.error))
+    total = _Moments()
+    for m in cell.chunks:
+        total.merge(m)
+
+    price, variance, n_eff = total.mean, total.variance, total.n
+    if kind is EstimatorKind.ANTITHETIC:
+        variance = 2.0 * variance  # per-sample equivalent of pair averages
+        n_eff = 2.0 * total.n
+    elif kind is EstimatorKind.CONTROL_GEOMETRIC:
+        # unit-coefficient control: arith - geo + E[geo], the classic pairing
+        # of the arithmetic payoff with its exactly-priced geometric twin
+        n = total.n
+        cov = (total.cross - total.s1 * total.c1 / n) / (n - 1.0)
+        geo_exact = geometric_asian_price_bs(factory.params, factory.sigma, strike, grid)
+        price = total.mean + (geo_exact - total.c1 / n)
+        variance = max(variance - 2.0 * cov + _sample_variance(total.c1, total.c2, n), 0.0)
+    std_err = float(np.sqrt(variance / n_eff)) if n_eff > 1 else float("nan")
+    if kind is EstimatorKind.CLASSIC:
+        var_red = 1.0
+    else:
+        var_red = classic_variance / variance if variance > 0.0 else float("inf")
+
+    return EstimatorReport(
+        kind=kind.value, strike=strike, n_paths=int(n_eff), n_steps=grid.n_steps,
+        seed=seed, price=price, std_err=std_err, variance=variance,
+        var_reduction=var_red, prob_positive=total.pos / total.n,
+        wall_time_s=cell.wall, drift_time_s=cell.drift[1],
+    )
 
 
 def run_estimator(
@@ -542,61 +641,54 @@ def run_estimator(
 ) -> EstimatorReport | None:
     """Price one (kind, strike) cell; errors name the cell ("kind @ K=strike: ...").
 
-    With ``shared=(group, cell)``, as ``run_table`` calls it, run only the
-    group's chunks on their pre-drawn increments, add their moments and the
-    elapsed time to ``cell`` and return None; ``n_paths``,
+    ``factory`` fixes the model (constant vol when it has a ``sigma``) and
+    caches drift builds. Alone, the cell runs as a one-strike table with
+    Classic as its baseline, unless ``classic_variance`` is given, and its
+    error is raised. With ``shared=(group, cell)``, as the table engine calls
+    it, run only the group's chunks on their pre-drawn increments, add their
+    moments and the elapsed time to ``cell`` and return None; ``n_paths``,
     ``classic_variance`` and ``workers`` are then not used.
     """
     validate(params)
-    group, cell = shared if shared is not None else (None, None)
-    if cell is not None and cell.drift is not None:
-        drift, drift_secs = cell.drift
-    else:
-        drift, drift_secs = _build_drift(kind, spec, factory or DriftFactory(params, grid))
-        if cell is not None:
-            cell.drift = (drift, drift_secs)
+    factory = factory or DriftFactory(params, grid)
+    if shared is None:
+        cells = [_TableCell(kind, spec, drift=_build_drift(kind, spec, factory))]
+        if kind is not EstimatorKind.CLASSIC and classic_variance is None:
+            cells.append(_TableCell(EstimatorKind.CLASSIC, spec))
+        _run_cells(cells, factory, n_paths, seed, workers)
+        if cells[0].error is not None:
+            raise cells[0].error
+        if len(cells) > 1:
+            classic_variance = _report(cells[1], factory, n_paths, seed, None).variance
+        return _report(cells[0], factory, n_paths, seed, classic_variance)
 
-    def run_chunk(i: int, size: int, increments=None) -> _Moments:
-        return _chunk_moments(
-            kind, spec, params, grid, drift, size, sim.RngSpec(seed, i), increments
-        )
-
-    if group is not None:
-        t0 = time.perf_counter()
-        if kind is EstimatorKind.ANTITHETIC:
-            group.mirror()
-        cell.chunks += _map_chunks(
-            lambda j: run_chunk(group.first + j, group.sizes[j], group.increments[j]),
-            range(len(group.sizes)), group.pool,
-        )
-        cell.wall += time.perf_counter() - t0
-        return None
-
-    sizes = _chunk_sizes(n_paths)
+    group, cell = shared
+    if cell.drift is None:
+        cell.drift = _build_drift(kind, spec, factory)
+    drift = cell.drift[0]
     t0 = time.perf_counter()
-    with _thread_pool(workers) as pool:
-        chunks = _map_chunks(lambda i: run_chunk(i, sizes[i]), range(len(sizes)), pool)
-    wall = time.perf_counter() - t0
-    if kind is not EstimatorKind.CLASSIC and classic_variance is None:
-        classic_variance = run_estimator(
-            EstimatorKind.CLASSIC, spec, params, grid, n_paths, seed,
-            workers=workers, factory=factory,
-        ).variance
-    return _report(kind, spec, grid, seed, chunks, wall, drift_secs, classic_variance)
+    if kind is EstimatorKind.ANTITHETIC:
+        group.mirror()
+    cell.chunks += _map_chunks(
+        lambda j: _chunk_moments(kind, spec, factory, drift, group.sizes[j],
+                                 sim.RngSpec(seed, group.first + j), group.increments[j]),
+        range(len(group.sizes)), group.pool,
+    )
+    cell.wall += time.perf_counter() - t0
+    return None
 
 
 def _run_group(
     first: int,
     sizes: list[int],
     cells: list[_TableCell],
-    params: HestonParams,
-    grid: TimeGrid,
+    factory: DriftFactory,
     n_paths: int,
     seed: int,
-    factory: DriftFactory,
     pool: ThreadPoolExecutor | None,
 ) -> None:
     """Draw the group's increments once and run every live cell on them."""
+    grid = factory.grid
     t0 = time.perf_counter()
     group = _ChunkGroup(first, sizes, _map_chunks(
         lambda j: sim.normal_increments(
@@ -605,18 +697,62 @@ def _run_group(
         range(len(sizes)), pool,
     ), pool)
     draw_s = time.perf_counter() - t0
-    live = [c for c in cells if not c.error]
+    live = [c for c in cells if c.error is None]
     for cell in live:
         cell.wall += draw_s / len(live)
         try:
             run_estimator(
-                cell.kind, cell.spec, params, grid, n_paths, seed,
+                cell.kind, cell.spec, factory.params, grid, n_paths, seed,
                 factory=factory, shared=(group, cell),
             )
         except (OptimError, DomainError) as e:
             if cell.kind is EstimatorKind.CLASSIC:
                 raise
-            cell.error = str(e)
+            cell.error = e
+
+
+def _run_cells(
+    cells: list[_TableCell], factory: DriftFactory, n_paths: int, seed: int, workers: int
+) -> None:
+    """Run every cell on the same chunk streams: walk the chunks in groups of
+    ``workers``, drawing a group's increments once and running every cell on
+    them before drawing the next. A failed cell keeps its error and stops."""
+    # Antithetic cells go last: they replace the group's blocks by mirrored pairs
+    cells = sorted(cells, key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
+    sizes = _chunk_sizes(n_paths)
+    step = max(workers, 1)
+    with _thread_pool(workers) as pool:
+        for first in range(0, len(sizes), step):
+            _run_group(first, sizes[first:first + step], cells, factory, n_paths, seed, pool)
+
+
+def _table(
+    payoff_kind: PayoffKind,
+    strikes: list[float],
+    kinds: list[EstimatorKind],
+    factory: DriftFactory,
+    n_paths: int,
+    seed: int,
+    workers: int,
+) -> list[EstimatorReport]:
+    if not kinds:
+        return []
+    rows = []
+    for strike in sorted(strikes):
+        spec = make_payoff(payoff_kind, strike, factory.grid.t_end)
+        base = _TableCell(EstimatorKind.CLASSIC, spec)
+        rows.append((base, [_TableCell(kind, spec) for kind in kinds
+                            if kind is not EstimatorKind.CLASSIC]))
+    _run_cells([c for base, others in rows for c in [base, *others]],
+               factory, n_paths, seed, workers)
+
+    reports: list[EstimatorReport] = []
+    for base, others in rows:
+        classic = _report(base, factory, n_paths, seed, None)
+        if EstimatorKind.CLASSIC in kinds:
+            reports.append(classic)
+        reports += [_report(c, factory, n_paths, seed, classic.variance) for c in others]
+    return reports
 
 
 def run_table(
@@ -638,45 +774,8 @@ def run_table(
     draw time. Cell failures are reported inline (nan metrics, error message
     "kind @ K=strike: reason" kept) without aborting the table.
     """
-    if not kinds:
-        return []
-    factory = DriftFactory(params, grid)
-    rows = []
-    for strike in sorted(strikes):
-        spec = make_payoff(payoff_kind, strike, grid.t_end)
-        base = _TableCell(EstimatorKind.CLASSIC, spec)
-        rows.append((base, [_TableCell(kind, spec) for kind in kinds
-                            if kind is not EstimatorKind.CLASSIC]))
-    cells = [c for base, others in rows for c in [base, *others]]
-    # Antithetic cells go last: they replace the group's blocks by mirrored pairs
-    cells.sort(key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
-
-    sizes = _chunk_sizes(n_paths)
-    step = max(workers, 1)
-    with _thread_pool(workers) as pool:
-        for first in range(0, len(sizes), step):
-            _run_group(first, sizes[first:first + step], cells, params, grid,
-                       n_paths, seed, factory, pool)
-
-    reports: list[EstimatorReport] = []
-    for base, others in rows:
-        classic = _report(EstimatorKind.CLASSIC, base.spec, grid, seed, base.chunks,
-                          base.wall, 0.0, None)
-        if EstimatorKind.CLASSIC in kinds:
-            reports.append(classic)
-        for cell in others:
-            if cell.error:
-                reports.append(EstimatorReport(
-                    kind=cell.kind.value, strike=cell.spec.strike, n_paths=n_paths,
-                    n_steps=grid.n_steps, seed=seed, price=float("nan"),
-                    std_err=float("nan"), variance=float("nan"),
-                    var_reduction=float("nan"), prob_positive=float("nan"),
-                    wall_time_s=0.0, drift_time_s=0.0, error=cell.error,
-                ))
-            else:
-                reports.append(_report(cell.kind, cell.spec, grid, seed, cell.chunks,
-                                       cell.wall, cell.drift[1], classic.variance))
-    return reports
+    return _table(payoff_kind, strikes, kinds, DriftFactory(params, grid),
+                  n_paths, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +804,6 @@ def geometric_asian_price_bs(
     return float(fwd * np.exp(mu + 0.5 * s * s) * norm.cdf(d1) - strike * norm.cdf(d2))
 
 
-def _bs_paths(params, sigma, grid, dw):
-    x = np.concatenate(
-        [
-            np.zeros((dw.shape[0], 1)),
-            np.cumsum(-0.5 * sigma * sigma * grid.dt + sigma * dw, axis=1),
-        ],
-        axis=1,
-    )
-    return x
-
-
 def run_appendix_estimator(
     kind: EstimatorKind,
     strike: float,
@@ -724,103 +812,11 @@ def run_appendix_estimator(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    classic_variance: float | None = None,
 ) -> EstimatorReport:
-    """Constant-vol model, arithmetic-Asian payoff.
-
-    The drift kind (BS) uses the geometric-call drift at the same strike as a
-    surrogate; the control estimator regresses on the geometric payoff, whose
-    exact discrete price is known in closed form.
-    """
-    w = geometric_weight(grid.t_end)
-    alpha = w.on_grid(grid)
-    t = grid.knots
-    dt = grid.dt
-    drift_secs = 0.0
-    profile = None
-    if kind is EstimatorKind.BS:
-        spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, grid.t_end)
-        t0 = time.perf_counter()
-        red = bs_beta(spec, np.full(grid.n_steps + 1, sigma), w, grid, params)
-        drift_secs = time.perf_counter() - t0
-        profile = red.beta_star * alpha * sigma
-    elif kind not in (
-        EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC, EstimatorKind.CONTROL_GEOMETRIC,
-    ):
-        raise DomainError(f"{kind.value} is not part of the constant-vol comparison")
-
-    def arith_payoff(x):
-        s_paths = params.s0 * np.exp(params.r * t + x)
-        return np.maximum(s_paths[:, :-1].mean(axis=1) - strike, 0.0)
-
-    def geo_payoff(x):
-        fwd = params.s0 * np.exp(0.5 * params.r * grid.t_end)
-        return np.maximum(fwd * np.exp(aggregate_log_return(x, alpha)) - strike, 0.0)
-
-    main = _Moments()
-    geo_m = _Moments()
-    cross = 0.0
-    t0 = time.perf_counter()
-    for i, size in enumerate(_chunk_sizes(n_paths)):
-        rng = sim.RngSpec(seed, i)
-        if kind is EstimatorKind.ANTITHETIC:
-            half = (size + size % 2) // 2
-            dw, _ = sim.normal_increments(rng, half, grid.n_steps, dt)
-            g_plus = arith_payoff(_bs_paths(params, sigma, grid, dw))
-            g_minus = arith_payoff(_bs_paths(params, sigma, grid, -dw))
-            pair = 0.5 * (g_plus + g_minus)
-            main.add(pair, 0.5 * ((g_plus > 0.0) + (g_minus > 0.0)))
-            continue
-        dw, _ = sim.normal_increments(rng, size, grid.n_steps, dt)
-        if profile is not None:
-            logw = -(profile[:-1] * dw).sum(axis=1) - 0.5 * float(
-                (profile[:-1] ** 2).sum() * dt
-            )
-            x = _bs_paths(params, sigma, grid, dw + profile[:-1] * dt)
-            g = arith_payoff(x)
-            wgt = np.exp(logw)
-            main.add(g * wgt, wgt * (g > 0.0))
-        else:
-            x = _bs_paths(params, sigma, grid, dw)
-            g = arith_payoff(x)
-            main.add(g, (g > 0.0).astype(float))
-            if kind is EstimatorKind.CONTROL_GEOMETRIC:
-                geo = geo_payoff(x)
-                geo_m.add(geo, np.zeros(0))
-                cross += float((g * geo).sum())
-    wall = time.perf_counter() - t0
-
-    n = main.n
-    price = main.mean
-    variance = main.variance
-    if kind is EstimatorKind.CONTROL_GEOMETRIC:
-        # unit-coefficient control: arith - geo + E[geo], the classic pairing
-        # of the arithmetic payoff with its exactly-priced geometric twin
-        var_g = geo_m.variance
-        cov = (cross - main.s1 * geo_m.s1 / n) / (n - 1.0)
-        geo_exact = geometric_asian_price_bs(params, sigma, strike, grid)
-        price = main.mean + (geo_exact - geo_m.mean)
-        variance = max(variance - 2.0 * cov + var_g, 0.0)
-    n_eff = n
-    if kind is EstimatorKind.ANTITHETIC:
-        variance = 2.0 * variance
-        n_eff = 2.0 * n
-
-    std_err = float(np.sqrt(variance / n_eff)) if variance > 0 else 0.0
-    if kind is EstimatorKind.CLASSIC:
-        var_red = 1.0
-    else:
-        if classic_variance is None:
-            classic_variance = run_appendix_estimator(
-                EstimatorKind.CLASSIC, strike, params, sigma, grid, n_paths, seed
-            ).variance
-        var_red = classic_variance / variance if variance > 0 else float("inf")
-    return EstimatorReport(
-        kind=kind.value, strike=strike, n_paths=int(n_eff), n_steps=grid.n_steps,
-        seed=seed, price=price, std_err=std_err, variance=variance,
-        var_reduction=var_red, prob_positive=main.pos / n,
-        wall_time_s=wall, drift_time_s=drift_secs,
-    )
+    """One cell of the constant-vol arithmetic-Asian table; raises its error."""
+    spec = make_payoff(PayoffKind.ARITHMETIC_ASIAN_CALL, strike, grid.t_end)
+    return run_estimator(kind, spec, params, grid, n_paths, seed,
+                         factory=DriftFactory(params, grid, sigma))
 
 
 def run_appendix_table(
@@ -831,21 +827,13 @@ def run_appendix_table(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> list[EstimatorReport]:
-    reports = []
-    for strike in sorted(strikes):
-        base = run_appendix_estimator(
-            EstimatorKind.CLASSIC, strike, params, sigma, grid, n_paths, seed
-        )
-        if EstimatorKind.CLASSIC in kinds:
-            reports.append(base)
-        for kind in kinds:
-            if kind is EstimatorKind.CLASSIC:
-                continue
-            reports.append(
-                run_appendix_estimator(
-                    kind, strike, params, sigma, grid, n_paths, seed,
-                    classic_variance=base.variance,
-                )
-            )
-    return reports
+    """``run_table`` for the arithmetic-Asian call under constant volatility ``sigma``.
+
+    The drift kind (BS) uses the geometric-call drift at the same strike as a
+    surrogate; the control estimator (ControlGeometric) regresses on the
+    geometric payoff, whose exact discrete price is known in closed form.
+    """
+    return _table(PayoffKind.ARITHMETIC_ASIAN_CALL, strikes, kinds,
+                  DriftFactory(params, grid, sigma), n_paths, seed, workers)

@@ -16,7 +16,9 @@ from .errors import DomainError, OptimError
 from .model import EQUITY_PARAMS, HestonParams, TimeGrid, psi_deterministic, validate
 from .payoff import PayoffKind, geometric_weight, make_payoff
 from .measure import DriftMode
-from . import bench
+from . import bench, varopt
+from .drift_ldp import atom_coefficients, ldp_problem
+from .drift_mdp import mdp_auxiliary, mdp_log_problem, mdp_price_problem
 from .bench import EstimatorKind, reports_to_csv
 
 TABLE3_STRIKES = [30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0, 85.0]
@@ -53,7 +55,6 @@ class RunConfig:
     workers: int = 1
     sigma_const: float = 0.25
     stable_output: bool = False
-    dump_drift: bool = False
 
     def params(self) -> HestonParams:
         return HestonParams(
@@ -73,7 +74,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"kappa", "theta", "xi", "rho", "v0", "s0", "r", "t_end", "sigma_const"}
 _INT_KEYS = {"n_steps", "n_paths", "seed", "workers"}
-_BOOL_KEYS = {"stable_output", "dump_drift"}
+_BOOL_KEYS = {"stable_output"}
 _LIST_FLOAT_KEYS = {"strikes"}
 _LIST_STR_KEYS = {"kinds"}
 _STR_KEYS = {"payoff", "out", "preset"}
@@ -132,6 +133,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "stable_output", False):
         cfg.stable_output = True
     validate(cfg.params())  # error messages name the offending key
+    if cfg.n_paths < 3:  # Antithetic needs two pairs for a variance
+        raise DomainError(f"invalid value for key 'n_paths': {cfg.n_paths} (need >= 3)")
+    if cfg.workers < 1:
+        raise DomainError(f"invalid value for key 'workers': {cfg.workers} (need >= 1)")
+    if not cfg.sigma_const > 0.0:
+        raise DomainError(f"invalid value for key 'sigma_const': {cfg.sigma_const} (need > 0)")
     return cfg
 
 
@@ -167,7 +174,7 @@ def cmd_price(cfg: RunConfig) -> int:
     if cfg.preset == "appendixC" or cfg.payoff == "arithmetic_asian_call":
         reports = bench.run_appendix_table(
             cfg.strikes, kinds, cfg.params(), cfg.sigma_const, cfg.grid(),
-            cfg.n_paths, cfg.seed,
+            cfg.n_paths, cfg.seed, workers=cfg.workers,
         )
     else:
         reports = bench.run_table(
@@ -181,11 +188,36 @@ def cmd_price(cfg: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
-    from . import varopt
-    from .drift_ldp import LdpMode, ldp_optimum, ldp_paths, ldp_problem, atom_coefficients
-    from .drift_mdp import mdp_auxiliary, mdp_log_problem, mdp_price_problem
+def _ldp_oracle(pipeline, cols, spec, alpha, factory):
+    paths, _ = factory.ldp_solution(pipeline, spec)
+    cols.update({"A": paths.a, "U": paths.u, "Z": paths.z, "psi": paths.psi})
+    return ldp_problem(spec, factory.params, factory.grid, bench.LDP_MODES[pipeline],
+                       alpha=alpha, extra_atoms=[(paths.xdot1, paths.xdot2)]), 2
 
+
+def _mdp_log_oracle(pipeline, cols, spec, alpha, factory):
+    params, grid = factory.params, factory.grid
+    aux = mdp_auxiliary(alpha, params, grid)
+    cols.update({"B": aux.b_path, "gamma": aux.gamma, "u": aux.u})
+    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+    return mdp_log_problem(spec, params, grid, alpha=alpha,
+                           extra_atoms=[(det.h1_dot, det.h2_dot)]), 2
+
+
+def _mdp_price_oracle(pipeline, cols, spec, alpha, factory):
+    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+    return mdp_price_problem(spec, factory.params, factory.grid, alpha,
+                             extra_atoms=[(det.h1_dot, det.h2_dot)]), 1
+
+
+#: Call-payoff pipelines with a reduced-basis oracle: each adds its auxiliary
+#: paths to the dump and returns the oracle problem with the index of the
+#: atom that holds the pipeline's deterministic drift.
+_ORACLES = {"ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
+            "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle}
+
+
+def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     kind = EstimatorKind.from_name(kind_name)
     params, grid = cfg.params(), cfg.grid()
     spec = make_payoff(cfg.payoff_kind(), strike, grid.t_end)
@@ -202,38 +234,12 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     }
     alpha = spec.weight if spec.weight is not None else geometric_weight(grid.t_end)
     gap = float("nan")
-    if kind in (EstimatorKind.LDP_SN, EstimatorKind.LDP_SN_A,
-                EstimatorKind.LDP_ST, EstimatorKind.LDP_ST_A):
-        mode = LdpMode.SMALL_NOISE if "sn" in kind.value.lower() else LdpMode.SMALL_TIME
-        a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, mode)
-        paths = ldp_paths(beta_s, a0_s, alpha, params, grid, mode)
-        cols.update({"A": paths.a, "U": paths.u, "Z": paths.z, "psi": paths.psi})
-        problem = ldp_problem(spec, params, grid, mode, alpha=alpha,
-                              extra_atoms=[(paths.xdot1, paths.xdot2)])
-        cf = problem.value(atom_coefficients(problem, 2))
-        _, vv = varopt.solve(problem, init=atom_coefficients(problem, 2), budget=2500)
-        gap = vv - cf
-    elif kind in (EstimatorKind.MDP_SN_LOG, EstimatorKind.MDP_SN_LOG_A):
-        aux = mdp_auxiliary(alpha, params, grid)
-        cols.update({"B": aux.b_path, "gamma": aux.gamma, "u": aux.u})
-        det, _ = factory.build(EstimatorKind.MDP_SN_LOG, spec)
-        problem = mdp_log_problem(spec, params, grid, alpha=alpha,
-                                  extra_atoms=[(det.h1_dot, det.h2_dot)])
-        m1 = problem.basis[0].shape[0]
-        cfc = np.zeros(problem.n_coeffs)
-        cfc[2] = cfc[m1 + 2] = 1.0
-        cf = problem.value(cfc)
-        _, vv = varopt.solve(problem, init=cfc, budget=2500)
-        gap = vv - cf
-    elif kind in (EstimatorKind.MDP_SN, EstimatorKind.MDP_SN_A):
-        det, _ = factory.build(EstimatorKind.MDP_SN, spec)
-        problem = mdp_price_problem(spec, params, grid, alpha,
-                                    extra_atoms=[(det.h1_dot, det.h2_dot)])
-        m1 = problem.basis[0].shape[0]
-        cfc = np.zeros(problem.n_coeffs)
-        cfc[1] = cfc[m1 + 1] = 1.0
-        cf = problem.value(cfc)
-        _, vv = varopt.solve(problem, init=cfc, budget=2500)
+    pipeline = bench.KINDS[kind].pipeline
+    if factory.table(spec) is bench.Table.CALL and pipeline in _ORACLES:
+        problem, atom = _ORACLES[pipeline](pipeline, cols, spec, alpha, factory)
+        closed_form = atom_coefficients(problem, atom)
+        cf = problem.value(closed_form)
+        _, vv = varopt.solve(problem, init=closed_form, budget=2500)
         gap = vv - cf
     header = ",".join(list(cols.keys()) + ["oracle_gap"])
     lines = [header]

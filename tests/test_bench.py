@@ -137,20 +137,77 @@ def test_appendix_estimators_price_consistently(params, small_grid):
         EstimatorKind.CLASSIC, 50.0, params, 0.25, small_grid, 20_000, SEED
     )
     for kind in (EstimatorKind.ANTITHETIC, EstimatorKind.CONTROL_GEOMETRIC, EstimatorKind.BS):
-        rep = run_appendix_estimator(
-            kind, 50.0, params, 0.25, small_grid, 20_000, SEED,
-            classic_variance=base.variance,
-        )
+        rep = run_appendix_estimator(kind, 50.0, params, 0.25, small_grid, 20_000, SEED)
         tol = 4.0 * np.hypot(base.std_err, rep.std_err)
         assert abs(rep.price - base.price) <= tol
         assert rep.var_reduction > 1.0
 
 
 def test_appendix_rejects_heston_only_kinds(params, small_grid):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^LDPsn @ K=50.0: .*constant-vol"):
         run_appendix_estimator(
             EstimatorKind.LDP_SN, 50.0, params, 0.25, small_grid, 1_000, SEED
         )
+
+
+CONST_VOL_KINDS = [EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC,
+                   EstimatorKind.CONTROL_GEOMETRIC, EstimatorKind.BS]
+
+
+def _rows(reports):
+    return [(r.kind, r.strike, r.n_paths, r.price, r.std_err, r.variance,
+             r.var_reduction, r.prob_positive, r.error)
+            for r in reports]
+
+
+def test_const_vol_table_draws_once_per_chunk_for_any_workers(params, small_grid,
+                                                             monkeypatch):
+    n = CHUNK_PATHS + 1001  # odd remainder chunk
+    draws = []
+    draw = sim.normal_increments
+    monkeypatch.setattr(sim, "normal_increments",
+                        lambda rng, *a: draws.append(rng.stream_offset) or draw(rng, *a))
+    tables = [bench.run_appendix_table([70.0, 50.0], CONST_VOL_KINDS, params, 0.25,
+                                       small_grid, n, SEED, workers=workers)
+              for workers in (1, 2)]
+    assert sorted(draws) == [0, 0, 1, 1]  # each chunk once per table
+    assert _rows(tables[0]) == _rows(tables[1])
+    assert [(r.kind, r.strike) for r in tables[0]] == \
+        [(k.value, s) for s in (50.0, 70.0) for k in CONST_VOL_KINDS]
+    assert all(np.isfinite(r.price) and r.wall_time_s > 0.0 for r in tables[0])
+
+
+def test_const_vol_cells_do_not_depend_on_their_neighbours(params, small_grid):
+    table = bench.run_appendix_table([50.0], CONST_VOL_KINDS, params, 0.25,
+                                     small_grid, N_SMALL, SEED)
+    for kinds in ([EstimatorKind.BS], [EstimatorKind.ANTITHETIC, EstimatorKind.CLASSIC],
+                  [EstimatorKind.CONTROL_GEOMETRIC, EstimatorKind.BS]):
+        alone = bench.run_appendix_table([50.0], kinds, params, 0.25, small_grid,
+                                         N_SMALL, SEED)
+        for rep in alone:
+            (same,) = [r for r in table if r.kind == rep.kind]
+            assert _rows([rep]) == _rows([same]), (rep.kind, kinds)
+
+
+def test_const_vol_table_reports_heston_only_kinds_inline(params, small_grid):
+    reports = bench.run_appendix_table(
+        [50.0], [EstimatorKind.CLASSIC, EstimatorKind.LDP_SN, EstimatorKind.BS],
+        params, 0.25, small_grid, 2_000, SEED,
+    )
+    by_kind = {r.kind: r for r in reports}
+    assert by_kind["LDPsn"].error.startswith("LDPsn @ K=50.0: ")
+    assert np.isnan(by_kind["LDPsn"].price)
+    for kind in ("Classic", "BS"):
+        assert by_kind[kind].error == "" and np.isfinite(by_kind[kind].price)
+
+
+def test_kind_registry_has_a_builder_for_every_offered_drift():
+    for kind, entry in bench.KINDS.items():
+        assert (entry.pipeline is None) == (entry.mode is None), kind
+        for table in entry.tables:
+            if entry.pipeline is not None:
+                assert (entry.pipeline, table) in bench.DriftFactory._PIPELINES, kind
+    assert set(bench.KINDS) == set(EstimatorKind)
 
 
 def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec50):

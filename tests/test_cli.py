@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hestonis import bench
 from hestonis.cli import (
     APPENDIX_KINDS,
     TABLE3_KINDS,
@@ -60,6 +61,49 @@ def test_unknown_key_and_bad_value_diagnostics(tmp_path):
     cfg.write_text("kappa = fast\n")
     with pytest.raises(Exception, match="kappa"):
         parse_config_file(str(cfg))
+    cfg.write_text("dump_drift = 1\n")  # removed key: nothing read it
+    with pytest.raises(Exception, match="unknown config key 'dump_drift'"):
+        parse_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("paths", ["0", "1", "2", "-5"])
+def test_too_few_paths_is_a_config_error(capsys, paths):
+    code, out, err = run_cli(capsys, "price", "--kinds", "Classic,Antithetic",
+                             "--paths", paths, "--steps", "16")
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and "'n_paths'" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_non_positive_workers_is_a_config_error(capsys, workers):
+    code, out, err = run_cli(capsys, "price", "--paths", "400", "--steps", "16",
+                             "--workers", workers)
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and "'workers'" in err
+
+
+@pytest.mark.parametrize("sigma", ["-0.25", "0"])
+def test_non_positive_sigma_const_is_a_config_error(tmp_path, capsys, sigma):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sigma_const = {sigma}\n")
+    code, out, err = run_cli(capsys, "price", "--config", str(cfg), "--preset", "appendixC",
+                             "--paths", "400", "--steps", "16")
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and "'sigma_const'" in err
+
+
+def test_workers_reach_the_constant_vol_table(monkeypatch, capsys):
+    seen = {}
+
+    def fake_table(strikes, kinds, params, sigma, grid, n_paths, seed, workers=1):
+        seen.update(sigma=sigma, n_paths=n_paths, workers=workers)
+        return []
+
+    monkeypatch.setattr(bench, "run_appendix_table", fake_table)
+    code, _, _ = run_cli(capsys, "price", "--preset", "appendixC", "--paths", "400",
+                         "--workers", "2")
+    assert code == 0
+    assert seen == {"sigma": 0.25, "n_paths": 400, "workers": 2}
 
 
 def test_config_round_trip(tmp_path):
