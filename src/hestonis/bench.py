@@ -35,8 +35,9 @@ from .payoff import (
 from . import payoff as payoff_mod
 from . import sim
 from . import varopt
+# Drift entry points stay names of this module, used here or not: perfbench's tracer patches them.
 from .drift_bs import bs_beta, bs_drift, bs_fully_adaptive
-from .drift_ldp import LdpMode, ldp_optimum, ldp_paths, ldp_problem
+from .drift_ldp import LdpMode, ldp_optimum, ldp_paths, ldp_problem, ldp_schedule
 from .drift_mdp import (
     mdp_large_time_drift,
     mdp_log_drift,
@@ -94,8 +95,9 @@ _HESTON = _ALL - {Table.CONSTANT_VOL}
 _DET, _ADA = DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE
 
 #: The one kind registry. The det and adaptive kinds of a pipeline share its
-#: cached solve at a strike (BS/BS_A, the LDP pairs, every variance-payoff
-#: pipeline) except where the solve takes the mode (the MDP pipelines).
+#: cached solve at a strike (BS/BS_A with MDPsn/MDPsn_A on call payoffs, the
+#: LDP pairs, MDPst/MDPst_A, every variance-payoff pipeline) except where the
+#: solve takes the mode (MDPsnLog, BS_A2).
 KINDS = {
     EstimatorKind.CLASSIC: KindEntry(None, None, _ALL),
     EstimatorKind.ANTITHETIC: KindEntry(None, None, _ALL),
@@ -210,16 +212,31 @@ class DriftFactory:
     def _alpha(self, spec):
         return spec.weight if spec.weight is not None else geometric_weight(self.grid.t_end)
 
-    def _bs(self, pipeline, spec, mode):
+    def _frozen_vol(self, pipeline, spec, mode):
+        """The deterministic-volatility root (``bs_beta``) and its embedding
+        beta* alpha sigma on the channel loading (``bs_drift``), for BS, MDPsn
+        and MDPst on call payoffs and BS under constant vol.
+
+        They differ only in the frozen sigma path (sqrt(psi) for BS and MDPsn,
+        which therefore share one cached root, sqrt(v0) for MDPst, the
+        constant sigma), the payoff the root is solved for (under constant vol
+        the geometric call at the same strike, a surrogate for the arithmetic
+        one) and the loading ((rho, rho_bar), or (1, 0) on constant vol's one
+        Brownian channel).
+        """
         p, g = self.params, self.grid
-        (red, sigma), secs = self._cached(
-            ("bs", spec.strike),
-            lambda: (
-                bs_beta(spec, np.sqrt(psi_deterministic(p, g)), self._alpha(spec), g, p),
-                np.sqrt(psi_deterministic(p, g)),
-            ),
+        rho = p.rho
+        if self.sigma is not None:
+            frozen, sigma, rho = "sigma", np.full(g.n_steps + 1, self.sigma), 1.0
+            spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
+        elif pipeline == "mdp_st":
+            frozen, sigma = "sqrt_v0", np.full(g.n_steps + 1, np.sqrt(p.v0))
+        else:
+            frozen, sigma = "sqrt_psi", np.sqrt(psi_deterministic(p, g))
+        red, secs = self._cached(
+            (frozen, spec.strike), lambda: bs_beta(spec, sigma, self._alpha(spec), g, p)
         )
-        return bs_drift(red.beta_star, sigma, red.alpha, p.rho, g, mode), secs
+        return bs_drift(red.beta_star, red.sigma, red.alpha, rho, g, mode, pipeline), secs
 
     def ldp_solution(self, pipeline: str, spec: PayoffSpec):
         """(LdpPaths, build seconds) of an LDP pipeline's optimum at the spec's strike."""
@@ -233,11 +250,7 @@ class DriftFactory:
 
     def _ldp(self, pipeline, spec, mode):
         paths, secs = self.ldp_solution(pipeline, spec)
-        h1, h2 = paths.xdot1, paths.xdot2
-        if mode is DriftMode.ADAPTIVE:
-            sqp = np.sqrt(paths.psi)
-            h1, h2 = h1 / sqp, h2 / sqp
-        return DriftSchedule(mode, h1, h2, f"ldp_{LDP_MODES[pipeline].value}"), secs
+        return ldp_schedule(paths, LDP_MODES[pipeline], mode), secs
 
     def _solved(self, pipeline, spec, mode):
         """Pipelines whose solve gives the schedule itself, cached per (strike, mode)."""
@@ -245,25 +258,9 @@ class DriftFactory:
         solve = {
             "bs_a2": lambda: bs_fully_adaptive(spec, p, g),
             "mdp_log": lambda: mdp_log_drift(spec, alpha, p, g, mode),
-            "mdp_price": lambda: mdp_price_drift(spec, alpha, p, g, mode),
-            "mdp_st": lambda: mdp_small_time_drift(spec, alpha, p, g, mode),
             "mdp_lt": lambda: mdp_large_time_drift(spec, alpha, p, g),
         }[pipeline]
         return self._cached((pipeline, spec.strike, mode), solve)
-
-    def _const_vol_bs(self, pipeline, spec, mode):
-        """The geometric-call BS drift at the same strike, a surrogate for the
-        arithmetic payoff: profile beta* alpha sigma on the one Brownian channel."""
-        g, sigma = self.grid, self.sigma
-
-        def solve():
-            w = geometric_weight(g.t_end)
-            geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
-            red = bs_beta(geo, np.full(g.n_steps + 1, sigma), w, g, self.params)
-            profile = red.beta_star * w.on_grid(g) * sigma
-            return DriftSchedule(mode, profile, np.zeros_like(profile), "bs_const_vol")
-
-        return self._cached(("bs", spec.strike), solve)
 
     # -- variance-payoff drifts (no closed form: reduced-basis solves) -------
 
@@ -365,12 +362,12 @@ class DriftFactory:
 
     # (pipeline, table) -> builder; KINDS offers a drift kind only where one exists
     _PIPELINES = {
-        ("bs", Table.CALL): _bs, ("bs", Table.VARIANCE): _varswap,
-        ("bs", Table.CONSTANT_VOL): _const_vol_bs, ("bs_a2", Table.CALL): _solved,
+        ("bs", Table.CALL): _frozen_vol, ("bs", Table.VARIANCE): _varswap,
+        ("bs", Table.CONSTANT_VOL): _frozen_vol, ("bs_a2", Table.CALL): _solved,
         ("ldp_sn", Table.CALL): _ldp, ("ldp_sn", Table.VARIANCE): _varswap,
         ("ldp_st", Table.CALL): _ldp, ("mdp_log", Table.CALL): _solved,
-        ("mdp_price", Table.CALL): _solved, ("mdp_price", Table.VARIANCE): _varswap,
-        ("mdp_st", Table.CALL): _solved, ("mdp_lt", Table.CALL): _solved,
+        ("mdp_price", Table.CALL): _frozen_vol, ("mdp_price", Table.VARIANCE): _varswap,
+        ("mdp_st", Table.CALL): _frozen_vol, ("mdp_lt", Table.CALL): _solved,
     }
 
 
@@ -512,16 +509,12 @@ def _chunk_moments(
         x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
         del batch  # frees v_raw before the payoff's temporaries
     g = payoff_mod.evaluate(spec, params, grid, x, v)
-    hit = g > 0.0
+    hit = (g > 0.0).astype(float)
     m = _Moments()
     if kind is EstimatorKind.ANTITHETIC:
-        if factory.sigma is None:
-            hit = hit.astype(float)
-        # else the pair's booleans add as a logical or, as the constant-vol
-        # table has always counted them (its CSVs are pinned by digest)
         m.add(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
     elif drift is None:
-        m.add(g, hit.astype(float))
+        m.add(g, hit)
     else:
         m.add(*_weighted(g, log_inv_weight))
     if kind is EstimatorKind.CONTROL_GEOMETRIC:

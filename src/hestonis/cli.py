@@ -217,6 +217,19 @@ _ORACLES = {"ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
             "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle}
 
 
+def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):
+    """(oracle value - closed-form value, closed-form value) of a pipeline in
+    ``_ORACLES``: the reduced-basis solve starts from the pipeline's drift and
+    searches ``budget`` evaluations. The oracle's auxiliary paths go to ``cols``."""
+    alpha = spec.weight if spec.weight is not None else geometric_weight(factory.grid.t_end)
+    problem, atom = _ORACLES[pipeline](pipeline, {} if cols is None else cols,
+                                       spec, alpha, factory)
+    closed_form = atom_coefficients(problem, atom)
+    cf = problem.value(closed_form)
+    _, vv = varopt.solve(problem, init=closed_form, budget=budget)
+    return vv - cf, cf
+
+
 def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     kind = EstimatorKind.from_name(kind_name)
     params, grid = cfg.params(), cfg.grid()
@@ -232,15 +245,10 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
         "h2_dot": drift.h2_dot,
         "psi": psi,
     }
-    alpha = spec.weight if spec.weight is not None else geometric_weight(grid.t_end)
     gap = float("nan")
     pipeline = bench.KINDS[kind].pipeline
     if factory.table(spec) is bench.Table.CALL and pipeline in _ORACLES:
-        problem, atom = _ORACLES[pipeline](pipeline, cols, spec, alpha, factory)
-        closed_form = atom_coefficients(problem, atom)
-        cf = problem.value(closed_form)
-        _, vv = varopt.solve(problem, init=closed_form, budget=2500)
-        gap = vv - cf
+        gap, _ = oracle_gap(pipeline, spec, factory, 2500, cols)
     header = ",".join(list(cols.keys()) + ["oracle_gap"])
     lines = [header]
     n = grid.knots.size

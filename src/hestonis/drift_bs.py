@@ -24,7 +24,7 @@ from scipy import optimize
 
 from .errors import OptimError
 from .measure import DriftMode, DriftSchedule
-from .model import HestonParams, TimeGrid, psi_deterministic
+from .model import HestonParams, TimeGrid
 from .payoff import PayoffSpec, WeightPath, log_forward
 from .varopt import NEG_SENTINEL, VariationalProblem, atom_basis, hat_basis, stack_basis
 
@@ -121,8 +121,12 @@ def bs_drift(
     rho: float,
     grid: TimeGrid,
     mode: DriftMode = DriftMode.DETERMINISTIC,
+    provenance: str = "bs",
 ) -> DriftSchedule:
-    """Embed the scalar solution in the two channels: rho h1 + rho_bar h2 = beta alpha sigma."""
+    """Embed the scalar solution in the two channels: rho h1 + rho_bar h2 = beta alpha sigma.
+
+    rho = 1 gives the loading (1, 0) of a one-channel (constant-vol) model.
+    """
     rho_bar = float(np.sqrt(1.0 - rho * rho))
     profile = beta_star * np.asarray(alpha) * np.asarray(sigma)
     if mode is DriftMode.ADAPTIVE:
@@ -131,20 +135,8 @@ def bs_drift(
         mode=mode,
         h1_dot=rho * profile,
         h2_dot=rho_bar * profile,
-        provenance="bs",
+        provenance=provenance,
     )
-
-
-def heston_bs_drift(
-    spec: PayoffSpec,
-    params: HestonParams,
-    grid: TimeGrid,
-    mode: DriftMode = DriftMode.DETERMINISTIC,
-) -> DriftSchedule:
-    """Deterministic-volatility baseline for Heston: sigma(t) = sqrt(psi_t)."""
-    sigma = np.sqrt(psi_deterministic(params, grid))
-    red = bs_beta(spec, sigma, spec.weight, grid, params)
-    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, mode)
 
 
 def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -314,26 +314,14 @@ def ldp_optimum(
     return float(a0_s), beta_s, float(val)
 
 
-def ldp_drift(
-    spec: PayoffSpec,
-    alpha: WeightPath,
-    params: HestonParams,
-    grid: TimeGrid,
-    mode: LdpMode,
-    output: DriftMode = DriftMode.DETERMINISTIC,
-) -> DriftSchedule:
-    """Optimal drift schedule: (U, (Z - rho U)/rho_bar), adaptively divided by sqrt(psi)."""
-    a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, mode)
-    paths = ldp_paths(beta_s, a0_s, alpha, params, grid, mode)
-    tag = f"ldp_{mode.value}"
+def ldp_schedule(paths: LdpPaths, mode: LdpMode, output: DriftMode) -> DriftSchedule:
+    """Drift schedule of an optimum's paths: (U, (Z - rho U)/rho_bar), adaptively
+    divided by sqrt(psi)."""
+    h1, h2 = paths.xdot1, paths.xdot2
     if output is DriftMode.ADAPTIVE:
         sqp = np.sqrt(paths.psi)
-        return DriftSchedule(
-            DriftMode.ADAPTIVE, paths.xdot1 / sqp, paths.xdot2 / sqp, provenance=tag
-        )
-    return DriftSchedule(
-        DriftMode.DETERMINISTIC, paths.xdot1, paths.xdot2, provenance=tag
-    )
+        h1, h2 = h1 / sqp, h2 / sqp
+    return DriftSchedule(output, h1, h2, f"ldp_{mode.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid, psi_deterministic
 from .payoff import PayoffSpec, WeightPath
 from .varopt import NEG_SENTINEL, VariationalProblem, hat_basis, stack_basis
-from .drift_bs import bs_root, call_curve, solve_call_scale
+from .drift_bs import bs_beta, bs_drift, call_curve, solve_call_scale
 
 
 def _cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
@@ -140,42 +140,21 @@ def mdp_log_drift(
     return DriftSchedule(DriftMode.DETERMINISTIC, h1, h2, provenance="mdp_log")
 
 
-def _price_moments(alpha: WeightPath, psi: np.ndarray, grid: TimeGrid):
-    a = np.broadcast_to(np.asarray(alpha.alpha(grid.knots), dtype=float), grid.knots.shape)
-    w = float(((a[:-1] ** 2) * psi[:-1]).sum() * grid.dt)
-    shift = 0.5 * float((a[:-1] * psi[:-1]).sum() * grid.dt)
-    return a, w, shift
-
-
 def mdp_price_drift(
     spec: PayoffSpec,
     alpha: WeightPath,
     params: HestonParams,
     grid: TimeGrid,
     output: DriftMode = DriftMode.DETERMINISTIC,
-    psi: np.ndarray | None = None,
 ) -> DriftSchedule:
     """Price small-noise drift: x_dot = b alpha sqrt(psi) (rho, rho_bar).
 
     The scalar problem argmax F-bar(b w) - b^2 w / 2 with w = int alpha^2 psi
-    is the deterministic-volatility root equation; b > 1 is its unique root.
+    is the deterministic-volatility root equation with sigma = sqrt(psi).
     """
-    if psi is None:
-        psi = psi_deterministic(params, grid)
-    a, w, shift = _price_moments(alpha, psi, grid)
-    _, _, c = call_curve(spec, params, shift)
-    if w <= 0.0:
-        raise OptimError("degenerate moment int alpha^2 psi = 0")
-    b = bs_root(w, c)
-    prof = b * a * np.sqrt(psi)
-    if output is DriftMode.ADAPTIVE:
-        prof = b * a
-    return DriftSchedule(
-        output if output is DriftMode.ADAPTIVE else DriftMode.DETERMINISTIC,
-        params.rho * prof,
-        params.rho_bar * prof,
-        provenance="mdp_price",
-    )
+    sigma = np.sqrt(psi_deterministic(params, grid))
+    red = bs_beta(spec, sigma, alpha, grid, params)
+    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, output, "mdp_price")
 
 
 def mdp_small_time_drift(
@@ -186,11 +165,10 @@ def mdp_small_time_drift(
     output: DriftMode = DriftMode.DETERMINISTIC,
 ) -> DriftSchedule:
     """Small-time mode: the price problem with f = 0 and psi frozen at v0."""
-    psi = np.full(grid.n_steps + 1, params.v0)
-    drift = mdp_price_drift(spec, alpha, params, grid, output, psi=psi)
-    return DriftSchedule(
-        drift.mode, drift.h1_dot, drift.h2_dot, provenance="mdp_small_time"
-    )
+    sigma = np.full(grid.n_steps + 1, np.sqrt(params.v0))
+    red = bs_beta(spec, sigma, alpha, grid, params)
+    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, output,
+                    "mdp_small_time")
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +315,8 @@ def mdp_price_problem(
     """sup F-bar(sum alpha phi_dot) - ||x||^2/2 with phi_dot = sqrt(psi)(rho x1 + rho_bar x2)."""
     if psi is None:
         psi = psi_deterministic(params, grid)
-    a, w, shift = _price_moments(alpha, psi, grid)
-    F, _, _ = call_curve(spec, params, shift)
+    a = alpha.on_grid(grid)
+    F, _, _ = call_curve(spec, params, 0.5 * float((a[:-1] * psi[:-1]).sum() * grid.dt))
     sqp = np.sqrt(psi)
     dt = grid.dt
     rho, rho_bar = params.rho, params.rho_bar

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DomainError
-from .model import HestonParams, TimeGrid
-from . import payoff as payoff_mod
+from .model import TimeGrid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import PathBatch
@@ -82,15 +81,6 @@ def zero_drift(grid: TimeGrid) -> DriftSchedule:
     return DriftSchedule(DriftMode.DETERMINISTIC, z, z.copy(), provenance="zero")
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """Per-path payoff under Q, log Z^{-1}, and their product (arrays, aligned)."""
-
-    payoff: np.ndarray
-    log_weight: np.ndarray
-    product: np.ndarray
-
-
 def _modulation(batch: "PathBatch", drift: DriftSchedule):
     """Per-step (m1, m2) with shape (n_paths, n_steps) for a fixed-mode schedule."""
     n = batch.grid.n_steps
@@ -126,15 +116,3 @@ def log_forward_weight(batch: "PathBatch", drift: DriftSchedule) -> np.ndarray:
     lin = (m1 * batch.dw).sum(axis=1) + (m2 * batch.dw_perp).sum(axis=1)
     quad = ((m1 * m1 + m2 * m2) * dt).sum(axis=1)
     return lin - 0.5 * quad
-
-
-def reweighted_payoffs(
-    batch: "PathBatch",
-    drift: DriftSchedule,
-    spec: payoff_mod.PayoffSpec,
-    params: HestonParams,
-) -> WeightedSample:
-    """Payoff on the Q paths times exp(log Z^{-1})."""
-    g = payoff_mod.evaluate(spec, params, batch.grid, batch.x, batch.v)
-    logw = log_inverse_weight(batch, drift)
-    return WeightedSample(payoff=g, log_weight=logw, product=g * np.exp(logw))

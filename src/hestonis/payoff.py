@@ -79,10 +79,6 @@ class PayoffSpec:
         if self.strike < 0.0:
             raise DomainError("strike must be nonnegative")
 
-    @property
-    def is_call_type(self) -> bool:
-        return self.kind in (PayoffKind.EUROPEAN_CALL, PayoffKind.GEOMETRIC_ASIAN_CALL)
-
 
 def make_payoff(kind: PayoffKind, strike: float, t_end: float) -> PayoffSpec:
     if kind is PayoffKind.EUROPEAN_CALL:
@@ -145,22 +141,6 @@ def eval_vol_indicator(
     v = np.asarray(v_paths)[..., :-1]
     ind = np.asarray(s_paths)[..., :-1] >= strike
     return (v * ind).sum(axis=-1) * grid.dt
-
-
-def f_log_and_deriv(spec: PayoffSpec, y, params: HestonParams):
-    """F(y) = log(e^{m+y} - K) and F'(y) = e^{m+y}/(e^{m+y} - K) for call-type specs.
-
-    Raises DomainError where the payoff vanishes (F = -inf); callers widen
-    their search instead of evaluating there.
-    """
-    if not spec.is_call_type:
-        raise DomainError(f"{spec.kind.value} has no log-payoff closed form")
-    m = log_forward(spec, params)
-    ey = np.exp(m + np.asarray(y, dtype=float))
-    gap = ey - spec.strike
-    if np.any(gap <= 0.0):
-        raise DomainError("payoff is zero at the requested point (F = -inf)")
-    return np.log(gap), ey / gap
 
 
 def evaluate(

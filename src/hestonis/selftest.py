@@ -14,21 +14,15 @@ import os
 import numpy as np
 
 from . import varopt
-from .drift_bs import bs_beta, bs_problem, heston_bs_drift
-from .drift_ldp import (
-    LdpMode,
-    atom_coefficients,
-    ldp_optimum,
-    ldp_paths,
-    ldp_problem,
-    riccati_solve,
-)
+from .drift_bs import bs_beta, bs_problem
+from .drift_ldp import LdpMode, riccati_solve
 from .drift_mdp import gamma_moments, large_time_constants
 from .measure import log_forward_weight
 from .model import heston_coefficients, psi_deterministic
 from .payoff import PayoffKind, geometric_weight, make_payoff
 from . import bench
 from .bench import EstimatorKind
+from .cli import oracle_gap
 from .sim import RngSpec, simulate_p
 
 
@@ -142,18 +136,13 @@ def run_all(cfg) -> list[tuple[str, bool, str]]:
     results.append(("bs-root-vs-reduced-basis", dev <= 1e-4, f"|dbeta| {dev:.2e}"))
 
     # oracle agreement for the small-noise pipeline
-    a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
-    paths = ldp_paths(beta_s, a0_s, alpha, params, grid, LdpMode.SMALL_NOISE)
-    prob = ldp_problem(spec, params, grid, LdpMode.SMALL_NOISE, alpha=alpha,
-                       extra_atoms=[(paths.xdot1, paths.xdot2)])
-    cfc = atom_coefficients(prob, 2)
-    cf_val = prob.value(cfc)
-    _, v_or = varopt.solve(prob, init=cfc, budget=1200)
-    ok = v_or >= cf_val - 1e-6 and (v_or - cf_val) <= 2e-3 * max(1.0, abs(cf_val))
-    results.append(("ldp-oracle-agreement", ok, f"gap {v_or - cf_val:.2e}"))
+    factory = bench.DriftFactory(params, grid)
+    gap, cf_val = oracle_gap("ldp_sn", spec, factory, 1200)
+    ok = gap >= -1e-6 and gap <= 2e-3 * max(1.0, abs(cf_val))
+    results.append(("ldp-oracle-agreement", ok, f"gap {gap:.2e}"))
 
     # martingale of the change of measure under the base dynamics
-    drift = heston_bs_drift(spec, params, grid)
+    drift, _ = factory.build(EstimatorKind.BS, spec)
     batch = simulate_p(params, grid, n_paths, RngSpec(cfg.seed, 0))
     z = np.exp(log_forward_weight(batch, drift))
     se = z.std(ddof=1) / math.sqrt(n_paths)

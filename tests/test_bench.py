@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import time
 
 import numpy as np
@@ -14,6 +16,8 @@ from hestonis.bench import (
     run_estimator,
     run_table,
 )
+from hestonis.drift_bs import bs_beta, bs_drift
+from hestonis.drift_mdp import mdp_small_time_drift
 from hestonis.errors import DomainError, OptimError
 from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
@@ -256,3 +260,91 @@ def test_non_finite_chunk_sum_is_a_cell_error(params, small_grid, spec50, monkey
     assert by_kind["BS"].error.startswith("BS @ K=50.0: non-finite")
     assert np.isnan(by_kind["BS"].price)
     assert by_kind["Classic"].error == "" and np.isfinite(by_kind["Classic"].price)
+
+
+def test_const_vol_antithetic_prob_positive_averages_both_paths(params):
+    # a pair adds the mean of its two hit indicators; adding the booleans
+    # instead (a logical or) capped the column at 0.5
+    n = 4_001
+    reports = bench.run_appendix_table([30.0, 50.0], CONST_VOL_KINDS[:2], params, 0.25,
+                                       TimeGrid(16, 1.0), n, SEED)
+    by = {(r.kind, r.strike): r.prob_positive for r in reports}
+    assert by["Antithetic", 30.0] >= 0.99  # deep in the money: nearly every path pays
+    for strike in (30.0, 50.0):
+        p = by["Classic", strike]
+        se = np.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+        assert abs(by["Antithetic", strike] - p) <= 4.0 * np.sqrt(2.0) * se, strike
+
+
+FROZEN_VOL_KINDS = [EstimatorKind.CLASSIC, EstimatorKind.BS, EstimatorKind.BS_A,
+                    EstimatorKind.MDP_SN, EstimatorKind.MDP_SN_A]
+
+
+def test_mdp_price_rows_equal_bs_rows(params):
+    # 16 steps and these strikes are where a separate MDPsn root moved the
+    # schedule by up to 1e-14; one frozen-vol root gives identical rows
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
+                        params, TimeGrid(16, 1.0), N_SMALL, SEED)
+    rows = {(r.kind, r.strike): _rows([r])[0][1:] for r in reports}
+    for strike in (50.0, 65.0):
+        assert rows["MDPsn", strike] == rows["BS", strike]
+        assert rows["MDPsn_A", strike] == rows["BS_A", strike]
+
+
+def test_one_root_per_strike_serves_bs_and_mdp_price(params, monkeypatch):
+    calls = {"bs_beta": 0, "mdp_price_drift": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
+                        params, TimeGrid(16, 1.0), 500, SEED)
+    assert all(r.error == "" for r in reports)
+    assert calls == {"bs_beta": 2, "mdp_price_drift": 0}
+
+
+@pytest.mark.parametrize("kind,mode", [(EstimatorKind.MDP_ST, DriftMode.DETERMINISTIC),
+                                       (EstimatorKind.MDP_ST_A, DriftMode.ADAPTIVE)])
+def test_small_time_schedule_is_the_root_at_sqrt_v0(params, kind, mode):
+    grid = TimeGrid(16, 1.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 65.0, 1.0)
+    sigma = np.full(grid.n_steps + 1, np.sqrt(params.v0))
+    red = bs_beta(spec, sigma, spec.weight, grid, params)
+    want = bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, mode)
+    built, _ = bench.DriftFactory(params, grid).build(kind, spec)
+    for got in (built, mdp_small_time_drift(spec, spec.weight, params, grid, mode)):
+        assert got.mode is mode
+        assert np.array_equal(got.h1_dot, want.h1_dot)
+        assert np.array_equal(got.h2_dot, want.h2_dot)
+
+
+#: What perfbench's tracer patches, by hestonis module, with the arguments it
+#: reads by position (name, index).
+TRACED = {
+    "bench": ["run_table", "run_appendix_table", ("run_estimator", "kind", 0),
+              ("run_estimator", "spec", 1), ("run_appendix_estimator", "kind", 0),
+              ("run_appendix_estimator", "strike", 1), ("DriftFactory.build", "kind", 1),
+              "bs_beta", "bs_fully_adaptive", "ldp_optimum", "mdp_log_drift",
+              "mdp_price_drift", "mdp_small_time_drift", "mdp_large_time_drift"],
+    "sim": ["normal_increments", "simulate_p", "antithetic_pairs",
+            ("simulate_q", "rng", 3), ("simulate_q", "drift", 4)],
+    "payoff": ["evaluate"],
+    "drift_bs": ["bs_fully_adaptive_step"],
+    "varopt": ["solve", "VariationalProblem.value"],
+}
+
+
+def test_tracer_targets_exist():
+    for module, targets in TRACED.items():
+        mod = importlib.import_module(f"hestonis.{module}")
+        for target in targets:
+            name, arg, index = target if isinstance(target, tuple) else (target, None, None)
+            obj = mod
+            for part in name.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (module, name)
+            if arg is not None:
+                params = list(inspect.signature(obj).parameters)
+                assert params.index(arg) == index, (module, name, arg)

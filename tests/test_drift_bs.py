@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hestonis import varopt
+from hestonis.bench import DriftFactory, EstimatorKind
 from hestonis.drift_bs import (
     bs_beta,
     bs_drift,
@@ -10,7 +11,6 @@ from hestonis.drift_bs import (
     bs_problem,
     bs_root,
     call_curve,
-    heston_bs_drift,
     solve_call_scale,
     _vector_bs_root,
 )
@@ -86,8 +86,10 @@ class TestDriftEmbedding:
 
     def test_adaptive_profile_divides_out_sigma(self, params, grid):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
-        det = heston_bs_drift(spec, params, grid, DriftMode.DETERMINISTIC)
-        ada = heston_bs_drift(spec, params, grid, DriftMode.ADAPTIVE)
+        factory = DriftFactory(params, grid)
+        det, _ = factory.build(EstimatorKind.BS, spec)
+        ada, _ = factory.build(EstimatorKind.BS_A, spec)
+        assert (det.mode, ada.mode) == (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE)
         sigma = np.sqrt(psi_deterministic(params, grid))
         assert_allclose(ada.h1_dot * sigma, det.h1_dot, atol=1e-14)
 

@@ -8,11 +8,11 @@ from hestonis.drift_ldp import (
     LdpMode,
     atom_coefficients,
     integrate_psi_controlled,
-    ldp_drift,
     ldp_objective,
     ldp_optimum,
     ldp_paths,
     ldp_problem,
+    ldp_schedule,
     psi_from_a,
     riccati_solve,
     _fine_knots,
@@ -125,11 +125,15 @@ def test_first_integral_residual_at_optimum(params, grid, alpha):
     assert np.all(paths.psi > 0.0)
 
 
+def _small_noise_paths(spec, alpha, params, grid):
+    a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    return ldp_paths(beta_s, a0_s, alpha, params, grid, LdpMode.SMALL_NOISE)
+
+
 def test_channel_reconstruction_identity(params, grid, alpha):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
-    d = ldp_drift(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
-    a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
-    paths = ldp_paths(beta_s, a0_s, alpha, params, grid, LdpMode.SMALL_NOISE)
+    paths = _small_noise_paths(spec, alpha, params, grid)
+    d = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
     lhs = params.rho * d.h1_dot + params.rho_bar * d.h2_dot
     assert np.abs(lhs - paths.z).max() <= 1e-12
 
@@ -137,20 +141,20 @@ def test_channel_reconstruction_identity(params, grid, alpha):
 def test_drift_norm_decreases_toward_zero_strike(params, grid, alpha):
     norms = []
     for strike in (45.0, 35.0, 25.0):
-        d = ldp_drift(
-            make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, 1.0),
-            alpha, params, grid, LdpMode.SMALL_NOISE,
-        )
+        spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, 1.0)
+        d = ldp_schedule(_small_noise_paths(spec, alpha, params, grid),
+                         LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
         norms.append(float(((d.h1_dot[:-1] ** 2 + d.h2_dot[:-1] ** 2)).sum() * grid.dt))
     assert norms[0] > norms[1] > norms[2]
 
 
 def test_adaptive_output_divides_by_sqrt_psi(params, grid, alpha):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
-    det = ldp_drift(spec, alpha, params, grid, LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
-    ada = ldp_drift(spec, alpha, params, grid, LdpMode.SMALL_NOISE, DriftMode.ADAPTIVE)
-    a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
-    paths = ldp_paths(beta_s, a0_s, alpha, params, grid, LdpMode.SMALL_NOISE)
+    paths = _small_noise_paths(spec, alpha, params, grid)
+    det = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
+    ada = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.ADAPTIVE)
+    assert (det.mode, ada.mode) == (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE)
+    assert det.provenance == ada.provenance == "ldp_small_noise"
     assert_allclose(ada.h1_dot * np.sqrt(paths.psi), det.h1_dot, atol=1e-13)
 
 

@@ -157,12 +157,13 @@ class TestSmallTimeMode:
             d.h2_dot, params.rho_bar * b * a * np.sqrt(params.v0), atol=1e-12
         )
 
-    def test_weighted_moment_factorizes(self, params, grid, alpha):
-        from hestonis.drift_mdp import _price_moments
-
-        psi_flat = np.full(grid.n_steps + 1, params.v0)
-        a, w, _ = _price_moments(alpha, psi_flat, grid)
-        assert w == pytest.approx(params.v0 * float((a[:-1] ** 2).sum() * grid.dt), abs=1e-15)
+    def test_weighted_moment_factorizes(self, params, grid, alpha, spec):
+        sigma_flat = np.full(grid.n_steps + 1, np.sqrt(params.v0))
+        red = bs_beta(spec, sigma_flat, alpha, grid, params)
+        a = red.alpha
+        assert red.v_quad == pytest.approx(
+            params.v0 * float((a[:-1] ** 2).sum() * grid.dt), abs=1e-15
+        )
 
     def test_adaptive_output_is_flat_profile(self, params, grid, alpha, spec):
         det = mdp_small_time_drift(spec, alpha, params, grid, DriftMode.DETERMINISTIC)

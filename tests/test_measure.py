@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from hestonis.drift_bs import heston_bs_drift
+from hestonis.bench import DriftFactory, EstimatorKind, _weighted
 from hestonis.errors import DomainError
 from hestonis.measure import (
     DriftMode,
     DriftSchedule,
     log_forward_weight,
     log_inverse_weight,
-    reweighted_payoffs,
     zero_drift,
 )
 from hestonis.model import TimeGrid
-from hestonis.payoff import PayoffKind, make_payoff
+from hestonis.payoff import PayoffKind, evaluate, make_payoff
 from hestonis.sim import RngSpec, simulate_p, simulate_q
 
 
@@ -20,6 +19,18 @@ def test_zero_drift_weights_are_exactly_one(params, grid):
     batch = simulate_q(params, grid, 100, RngSpec(1), zero_drift(grid))
     logw = log_inverse_weight(batch, zero_drift(grid))
     assert np.all(logw == 0.0)
+
+
+def _bs_drift(spec, params, grid, mode=DriftMode.DETERMINISTIC):
+    kind = EstimatorKind.BS if mode is DriftMode.DETERMINISTIC else EstimatorKind.BS_A
+    drift, _ = DriftFactory(params, grid).build(kind, spec)
+    return drift
+
+
+def _reweighted(batch, spec, params):
+    """Payoff on the Q paths and its product with the batch's own weight."""
+    g = evaluate(spec, params, batch.grid, batch.x, batch.v)
+    return g, _weighted(g, batch.log_inv_weight)[0]
 
 
 def test_single_step_deterministic_weight(params):
@@ -36,7 +47,7 @@ def test_single_step_deterministic_weight(params):
 def test_inline_weights_match_standalone(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
     for mode in (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE):
-        drift = heston_bs_drift(spec, params, grid, mode)
+        drift = _bs_drift(spec, params, grid, mode)
         batch = simulate_q(params, grid, 400, RngSpec(3), drift)
         recomputed = log_inverse_weight(batch, drift)
         np.testing.assert_allclose(batch.log_inv_weight, recomputed, atol=1e-12)
@@ -59,7 +70,7 @@ def test_nonfinite_schedule_rejected(grid):
 @pytest.mark.parametrize("mode", [DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE])
 def test_weight_martingale_under_base_measure(params, grid, mode):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
-    drift = heston_bs_drift(spec, params, grid, mode)
+    drift = _bs_drift(spec, params, grid, mode)
     n = 30_000
     batch = simulate_p(params, grid, n, RngSpec(5))
     z = np.exp(log_forward_weight(batch, drift))
@@ -69,34 +80,30 @@ def test_weight_martingale_under_base_measure(params, grid, mode):
 
 def test_reweighted_payoffs_zero_drift_equals_plain(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-    drift = zero_drift(grid)
-    batch = simulate_q(params, grid, 300, RngSpec(6), drift)
-    ws = reweighted_payoffs(batch, drift, spec, params)
-    assert np.array_equal(ws.payoff, ws.product)
-    assert np.all(ws.log_weight == 0.0)
+    batch = simulate_q(params, grid, 300, RngSpec(6), zero_drift(grid))
+    g, product = _reweighted(batch, spec, params)
+    assert np.array_equal(g, product)
+    assert np.all(batch.log_inv_weight == 0.0)
 
 
 def test_reweighted_flat_path_zero_strike(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 0.0, 1.0)
-    drift = zero_drift(grid)
-    batch = simulate_q(params, grid, 2, RngSpec(7), drift)
+    batch = simulate_q(params, grid, 2, RngSpec(7), zero_drift(grid))
     batch.x[:] = 0.0
-    ws = reweighted_payoffs(batch, drift, spec, params)
-    np.testing.assert_allclose(ws.product, 50.0 * np.exp(0.025), atol=1e-10)
+    _, product = _reweighted(batch, spec, params)
+    np.testing.assert_allclose(product, 50.0 * np.exp(0.025), atol=1e-10)
 
 
 def test_importance_sampling_price_matches_classic(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-    drift = heston_bs_drift(spec, params, grid)
+    drift = _bs_drift(spec, params, grid)
     n = 30_000
-    from hestonis.payoff import evaluate
-
     classic = evaluate(
         spec, params, grid, simulate_p(params, grid, n, RngSpec(8)).x
     )
     batch = simulate_q(params, grid, n, RngSpec(9), drift)
-    ws = reweighted_payoffs(batch, drift, spec, params)
+    _, product = _reweighted(batch, spec, params)
     se = np.hypot(
-        classic.std(ddof=1) / np.sqrt(n), ws.product.std(ddof=1) / np.sqrt(n)
+        classic.std(ddof=1) / np.sqrt(n), product.std(ddof=1) / np.sqrt(n)
     )
-    assert abs(classic.mean() - ws.product.mean()) <= 4.0 * se
+    assert abs(classic.mean() - product.mean()) <= 4.0 * se

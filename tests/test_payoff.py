@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hestonis.drift_bs import call_curve
 from hestonis.errors import DomainError
 from hestonis.model import TimeGrid
 from hestonis.payoff import (
@@ -10,7 +11,6 @@ from hestonis.payoff import (
     eval_european,
     eval_geometric_asian,
     eval_vol_indicator,
-    f_log_and_deriv,
     geometric_weight,
     log_forward,
     make_payoff,
@@ -76,22 +76,28 @@ class TestVolIndicator:
         assert eval_vol_indicator(v, s, 50.0, g) == pytest.approx(0.02)
 
 
+def _log_payoff(spec, y, params):
+    """F(y) = log(e^{m+y} - K) and F'(y) = e^{m+y}/(e^{m+y} - K) of a call spec."""
+    F, Fp, _ = call_curve(spec, params)
+    return F(y), Fp(y)
+
+
 class TestLogPayoff:
     def test_ratio_two_point(self, params):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
         m = log_forward(spec, params)
         y = np.log(2.0 * 50.0) - m
-        _, fp = f_log_and_deriv(spec, y, params)
+        _, fp = _log_payoff(spec, y, params)
         assert fp == pytest.approx(2.0, abs=1e-12)
 
     def test_deep_in_the_money_slope(self, params):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-        _, fp = f_log_and_deriv(spec, 8.0, params)
+        _, fp = _log_payoff(spec, 8.0, params)
         assert fp == pytest.approx(1.0, abs=1e-3)
 
     def test_at_the_money_values(self, params):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-        f0, fp0 = f_log_and_deriv(spec, 0.0, params)
+        f0, fp0 = _log_payoff(spec, 0.0, params)
         gap = 50.0 * np.exp(0.025) - 50.0
         assert f0 == pytest.approx(np.log(gap), abs=1e-12)
         assert fp0 == pytest.approx((gap + 50.0) / gap, abs=1e-12)
@@ -99,15 +105,15 @@ class TestLogPayoff:
         assert f0 == pytest.approx(0.23570, abs=5e-5)
         assert fp0 == pytest.approx(40.501, abs=5e-3)
 
-    def test_zero_payoff_region_raises(self, params):
+    def test_zero_payoff_region_is_minus_inf(self, params):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-        with pytest.raises(DomainError):
-            f_log_and_deriv(spec, -2.0, params)
+        f, fp = _log_payoff(spec, -2.0, params)
+        assert f == -np.inf and fp == np.inf
 
     def test_non_call_kind_raises(self, params):
         spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, 50.0, 1.0)
         with pytest.raises(DomainError):
-            f_log_and_deriv(spec, 0.0, params)
+            _log_payoff(spec, 0.0, params)
 
 
 @given(
@@ -121,7 +127,7 @@ def test_exp_of_log_payoff_matches_payoff(params, y, strike):
     payoff = np.exp(m + y) - strike
     if payoff <= 1e-9:
         return
-    f, _ = f_log_and_deriv(spec, y, params)
+    f, _ = _log_payoff(spec, y, params)
     assert np.exp(f) == pytest.approx(payoff, rel=1e-12)
 
 
@@ -133,9 +139,9 @@ def test_log_payoff_slope_matches_finite_differences(params, y, strike):
     h = 1e-6
     if np.exp(m + y - h) - strike <= 1e-6:
         return
-    _, fp = f_log_and_deriv(spec, y, params)
-    f_hi, _ = f_log_and_deriv(spec, y + h, params)
-    f_lo, _ = f_log_and_deriv(spec, y - h, params)
+    _, fp = _log_payoff(spec, y, params)
+    f_hi, _ = _log_payoff(spec, y + h, params)
+    f_lo, _ = _log_payoff(spec, y - h, params)
     assert fp == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-5)
 
 
