@@ -163,7 +163,8 @@ def reports_to_csv(reports: list[EstimatorReport], stable_output: bool = False) 
 # ---------------------------------------------------------------------------
 
 class DriftFactory:
-    """The model a table runs under, and its drift builds cached per (pipeline, strike).
+    """The model a table runs under, and its drift builds cached per (payoff
+    kind, strike, pipeline).
 
     The model is Heston with ``params``, or constant volatility ``sigma``
     (with ``params``' spot, rate and horizon) when ``sigma`` is given.
@@ -175,7 +176,9 @@ class DriftFactory:
         self.sigma = sigma
         self._cache: dict = {}
 
-    def _cached(self, key, builder):
+    def _cached(self, spec, key, builder):
+        """``builder()``, built once per (spec's payoff kind and strike, ``key``)."""
+        key = (spec.kind, spec.strike, *key)
         if key not in self._cache:
             t0 = time.perf_counter()
             value = builder()
@@ -234,7 +237,7 @@ class DriftFactory:
         else:
             frozen, sigma = "sqrt_psi", np.sqrt(psi_deterministic(p, g))
         red, secs = self._cached(
-            (frozen, spec.strike), lambda: bs_beta(spec, sigma, self._alpha(spec), g, p)
+            spec, (frozen,), lambda: bs_beta(spec, sigma, self._alpha(spec), g, p)
         )
         return bs_drift(red.beta_star, red.sigma, red.alpha, rho, g, mode, pipeline), secs
 
@@ -246,45 +249,32 @@ class DriftFactory:
             a0_s, beta_s, _ = ldp_optimum(spec, alpha, p, g, ldp_mode)
             return ldp_paths(beta_s, a0_s, alpha, p, g, ldp_mode)
 
-        return self._cached(("ldp", ldp_mode, spec.strike), solve)
+        return self._cached(spec, ("ldp", ldp_mode), solve)
 
     def _ldp(self, pipeline, spec, mode):
         paths, secs = self.ldp_solution(pipeline, spec)
         return ldp_schedule(paths, LDP_MODES[pipeline], mode), secs
 
     def _solved(self, pipeline, spec, mode):
-        """Pipelines whose solve gives the schedule itself, cached per (strike, mode)."""
+        """Pipelines whose solve gives the schedule itself, so it is cached per mode too."""
         p, g, alpha = self.params, self.grid, self._alpha(spec)
         solve = {
             "bs_a2": lambda: bs_fully_adaptive(spec, p, g),
             "mdp_log": lambda: mdp_log_drift(spec, alpha, p, g, mode),
             "mdp_lt": lambda: mdp_large_time_drift(spec, alpha, p, g),
         }[pipeline]
-        return self._cached((pipeline, spec.strike, mode), solve)
+        return self._cached(spec, (pipeline, mode), solve)
 
     # -- variance-payoff drifts (no closed form: reduced-basis solves) -------
 
     def _varswap(self, pipeline, spec, mode):
         solve = {"ldp_sn": self._solve_vs_ldp, "mdp_price": self._solve_vs_mdp,
                  "bs": self._solve_vs_bs}[pipeline]
-        (prof1, prof2), secs = self._cached(("vs", pipeline, spec.strike),
-                                            lambda: solve(spec))
+        (prof1, prof2), secs = self._cached(spec, ("vs", pipeline), lambda: solve(spec))
         if mode is DriftMode.ADAPTIVE:
             sqp = np.sqrt(psi_deterministic(self.params, self.grid))
             prof1, prof2 = prof1 / sqp, prof2 / sqp
         return DriftSchedule(mode, prof1, prof2, "varswap"), secs
-
-    def _vs_log_payoff(self, spec):
-        p, g = self.params, self.grid
-        t = g.knots
-
-        def payoff_log(phi_dot, psi):
-            x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * g.dt)])
-            s = p.s0 * np.exp(p.r * t + x)
-            val = float((psi[:-1] * (s[:-1] >= spec.strike)).sum() * g.dt)
-            return np.log(val) if val > 0.0 else -np.inf
-
-        return payoff_log
 
     def _variance_response_atom(self):
         """First-order response of log int V dt to the variance channel:
@@ -299,36 +289,36 @@ class DriftFactory:
 
     def _solve_with_vega_atom(self, make_problem):
         """Solve ``make_problem(extra_atoms)``, seeded at unit weight on the
-        variance-response atom that ``extra_atoms`` appends (coefficient 2)."""
+        variance-response atom that ``extra_atoms`` appends to channel 1."""
         vega = self._variance_response_atom()
         problem = make_problem([(vega, np.zeros_like(vega))])
         init = np.zeros(problem.n_coeffs)
-        init[2] = 1.0
+        init[problem.extra_index] = 1.0
         problem.seed_coeffs = [init]
         coeffs, _ = varopt.solve(problem, init=init, budget=3000)
         return problem.expand(coeffs)
 
     def _solve_vs_ldp(self, spec):
+        p, g = self.params, self.grid
+
+        def payoff_log(phi_dot, psi):
+            return payoff_mod.log_vol_indicator(phi_dot, psi, p, spec.strike, g)
+
         return self._solve_with_vega_atom(lambda atoms: ldp_problem(
-            None, self.params, self.grid, LdpMode.SMALL_NOISE,
-            payoff_log=self._vs_log_payoff(spec), extra_atoms=atoms, n_hats=9,
+            None, p, g, LdpMode.SMALL_NOISE, payoff_log=payoff_log, extra_atoms=atoms
         ))
 
     def _solve_vs_mdp(self, spec):
+        """The fluctuation reads psi + eta as the variance proxy."""
         p, g = self.params, self.grid
-        t = g.knots
 
-        def payoff_log(phi_dot_fluct, psi_, eta):
-            v_proxy = psi_ + eta
-            x = np.concatenate(
-                [[0.0], np.cumsum((phi_dot_fluct[:-1] - 0.5 * psi_[:-1]) * g.dt)]
+        def payoff_log(phi_dot_fluct, psi, eta):
+            return payoff_mod.log_vol_indicator(
+                phi_dot_fluct - 0.5 * psi, psi + eta, p, spec.strike, g
             )
-            s = p.s0 * np.exp(p.r * t + x)
-            val = float((v_proxy[:-1] * (s[:-1] >= spec.strike)).sum() * g.dt)
-            return np.log(val) if val > 0.0 else -np.inf
 
         return self._solve_with_vega_atom(lambda atoms: mdp_log_problem(
-            None, p, g, payoff_log=payoff_log, extra_atoms=atoms, n_hats=9
+            None, p, g, payoff_log=payoff_log, extra_atoms=atoms
         ))
 
     def _solve_vs_bs(self, spec):
@@ -336,25 +326,15 @@ class DriftFactory:
         p, g = self.params, self.grid
         psi = psi_deterministic(p, g)
         sqp = np.sqrt(psi)
-        t = g.knots
-        dt = g.dt
 
         def objective(xdot):
-            phi_dot = -0.5 * psi + sqp * xdot
-            x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * dt)])
-            s = p.s0 * np.exp(p.r * t + x)
-            val = float((psi[:-1] * (s[:-1] >= spec.strike)).sum() * dt)
-            if val <= 0.0:
+            val = payoff_mod.log_vol_indicator(-0.5 * psi + sqp * xdot, psi, p, spec.strike, g)
+            if not np.isfinite(val):
                 return varopt.NEG_SENTINEL
-            return float(np.log(val)) - 0.5 * float((xdot[:-1] ** 2).sum() * dt)
+            return float(val) - 0.5 * float((xdot[:-1] ** 2).sum() * g.dt)
 
-        basis = varopt.stack_basis(
-            np.ones((1, g.n_steps + 1)), varopt.hat_basis(g, 9)
-        )
-        seed = np.zeros(basis.shape[0])
-        seed[0] = 1.0
-        problem = varopt.VariationalProblem(
-            objective=objective, basis=[basis], grid=g, seed_coeffs=[seed], label="vs_bs"
+        problem = varopt.reduced_basis_problem(
+            objective, g, [[np.ones(g.n_steps + 1)]], label="vs_bs"
         )
         coeffs, _ = varopt.solve(problem, budget=2000)
         (prof,) = problem.expand(coeffs)

@@ -31,6 +31,13 @@ VARSWAP_KINDS = ["LDPsn", "LDPsn_A", "MDPsn", "MDPsn_A", "BS", "BS_A", "Antithet
 APPENDIX_STRIKES = [30.0, 35.0, 40.0, 45.0, 50.0, 60.0, 70.0, 80.0]
 APPENDIX_KINDS = ["Antithetic", "ControlGeometric", "BS"]
 
+#: --preset name -> the (payoff, strikes, kinds) it fills in
+PRESETS = {
+    "table3": ("geometric_asian_call", TABLE3_STRIKES, TABLE3_KINDS),
+    "appendixC": ("arithmetic_asian_call", APPENDIX_STRIKES, APPENDIX_KINDS),
+    "varswap": ("vol_indicator_swap", VARSWAP_STRIKES, VARSWAP_KINDS),
+}
+
 
 @dataclass
 class RunConfig:
@@ -145,20 +152,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _apply_preset(cfg: RunConfig) -> None:
     if not cfg.preset:
         return
-    if cfg.preset == "table3":
-        cfg.payoff = "geometric_asian_call"
-        cfg.strikes = list(TABLE3_STRIKES)
-        cfg.kinds = list(TABLE3_KINDS)
-    elif cfg.preset == "varswap":
-        cfg.payoff = "vol_indicator_swap"
-        cfg.strikes = list(VARSWAP_STRIKES)
-        cfg.kinds = list(VARSWAP_KINDS)
-    elif cfg.preset == "appendixC":
-        cfg.payoff = "arithmetic_asian_call"
-        cfg.strikes = list(APPENDIX_STRIKES)
-        cfg.kinds = list(APPENDIX_KINDS)
-    else:
+    if cfg.preset not in PRESETS:
         raise DomainError(f"invalid value for key 'preset': {cfg.preset!r}")
+    payoff, strikes, kinds = PRESETS[cfg.preset]
+    cfg.payoff, cfg.strikes, cfg.kinds = payoff, list(strikes), list(kinds)
 
 
 def _emit(text: str, out: str) -> None:
@@ -171,7 +168,7 @@ def _emit(text: str, out: str) -> None:
 
 def cmd_price(cfg: RunConfig) -> int:
     kinds = [EstimatorKind.from_name(k) for k in cfg.kinds]
-    if cfg.preset == "appendixC" or cfg.payoff == "arithmetic_asian_call":
+    if cfg.payoff_kind() is PayoffKind.ARITHMETIC_ASIAN_CALL:
         reports = bench.run_appendix_table(
             cfg.strikes, kinds, cfg.params(), cfg.sigma_const, cfg.grid(),
             cfg.n_paths, cfg.seed, workers=cfg.workers,
@@ -192,7 +189,7 @@ def _ldp_oracle(pipeline, cols, spec, alpha, factory):
     paths, _ = factory.ldp_solution(pipeline, spec)
     cols.update({"A": paths.a, "U": paths.u, "Z": paths.z, "psi": paths.psi})
     return ldp_problem(spec, factory.params, factory.grid, bench.LDP_MODES[pipeline],
-                       alpha=alpha, extra_atoms=[(paths.xdot1, paths.xdot2)]), 2
+                       alpha=alpha, extra_atoms=[(paths.xdot1, paths.xdot2)])
 
 
 def _mdp_log_oracle(pipeline, cols, spec, alpha, factory):
@@ -201,18 +198,18 @@ def _mdp_log_oracle(pipeline, cols, spec, alpha, factory):
     cols.update({"B": aux.b_path, "gamma": aux.gamma, "u": aux.u})
     det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
     return mdp_log_problem(spec, params, grid, alpha=alpha,
-                           extra_atoms=[(det.h1_dot, det.h2_dot)]), 2
+                           extra_atoms=[(det.h1_dot, det.h2_dot)])
 
 
 def _mdp_price_oracle(pipeline, cols, spec, alpha, factory):
     det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
     return mdp_price_problem(spec, factory.params, factory.grid, alpha,
-                             extra_atoms=[(det.h1_dot, det.h2_dot)]), 1
+                             extra_atoms=[(det.h1_dot, det.h2_dot)])
 
 
 #: Call-payoff pipelines with a reduced-basis oracle: each adds its auxiliary
-#: paths to the dump and returns the oracle problem with the index of the
-#: atom that holds the pipeline's deterministic drift.
+#: paths to the dump and returns the oracle problem, whose extra atom holds the
+#: pipeline's deterministic drift.
 _ORACLES = {"ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
             "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle}
 
@@ -222,9 +219,8 @@ def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):
     ``_ORACLES``: the reduced-basis solve starts from the pipeline's drift and
     searches ``budget`` evaluations. The oracle's auxiliary paths go to ``cols``."""
     alpha = spec.weight if spec.weight is not None else geometric_weight(factory.grid.t_end)
-    problem, atom = _ORACLES[pipeline](pipeline, {} if cols is None else cols,
-                                       spec, alpha, factory)
-    closed_form = atom_coefficients(problem, atom)
+    problem = _ORACLES[pipeline](pipeline, {} if cols is None else cols, spec, alpha, factory)
+    closed_form = atom_coefficients(problem, problem.extra_index)
     cf = problem.value(closed_form)
     _, vv = varopt.solve(problem, init=closed_form, budget=budget)
     return vv - cf, cf
@@ -291,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--preset", choices=["table3", "appendixC", "varswap"], default=None)
+        sp.add_argument("--preset", choices=list(PRESETS), default=None)
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--payoff", default=None,
                         choices=[k.value for k in PayoffKind])

@@ -26,7 +26,7 @@ from .errors import OptimError
 from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid
 from .payoff import PayoffSpec, WeightPath, log_forward
-from .varopt import NEG_SENTINEL, VariationalProblem, atom_basis, hat_basis, stack_basis
+from .varopt import NEG_SENTINEL, VariationalProblem, reduced_basis_problem
 
 BETA_BRACKET_HI = 1.0e6
 BETA_BRACKET_LO = 1.0 + 1.0e-12
@@ -93,6 +93,18 @@ def bs_root(v: float, c: float) -> float:
         beta -= g(beta) / gp(beta)
         beta = min(max(beta, BETA_BRACKET_LO), BETA_BRACKET_HI)
     return float(beta)
+
+
+def bs_scale(s1: float, s2: float, c: float) -> float:
+    """argmax over beta of F(beta s1) - beta^2 s2 / 2 for the call curve F with threshold c.
+
+    Stationarity s1 F'(beta s1) = beta s2 is the root equation in
+    b = beta s2 / s1 with v = s1^2 / s2, so every scalar call reduction is
+    one ``bs_root`` (Guasoni & Robertson, Finance Stoch. 12, 2008).
+    """
+    if s1 <= 0.0 or s2 <= 0.0:
+        raise OptimError("scalar reduction needs positive moments")
+    return s1 / s2 * bs_root(s1 * s1 / s2, c)
 
 
 def bs_beta(
@@ -222,29 +234,6 @@ def bs_fully_adaptive(
     )
 
 
-def solve_call_scale(F, Fp, c: float, s1: float, s2: float) -> float:
-    """argmax over beta of F(beta s1) - beta^2 s2 / 2 for an increasing call-type F.
-
-    Stationarity s1 F'(beta s1) = beta s2 has a unique root when s1, s2 > 0.
-    """
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise OptimError("scalar reduction needs positive moments")
-
-    def q(b):
-        return s1 * Fp(b * s1) - b * s2
-
-    lo = 0.0
-    if np.isfinite(c) and c > 0.0:
-        lo = c / s1 * (1.0 + 1e-9) + 1e-300
-    hi = max(2.0 * lo, 1.0)
-    while q(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e9:
-            raise OptimError("scalar stationarity root escaped the bracket")
-    beta = optimize.brentq(q, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    return float(beta)
-
-
 def bs_problem(
     spec: PayoffSpec,
     params: HestonParams,
@@ -271,14 +260,5 @@ def bs_problem(
             return NEG_SENTINEL
         return val - 0.5 * float((xdot[:-1] ** 2).sum() * dt)
 
-    atom = atom_basis([asig])
-    basis = stack_basis(atom, hat_basis(grid, 9)) if rich_basis else atom
-    seed = np.zeros(basis.shape[0])
-    seed[0] = 1.0
-    return VariationalProblem(
-        objective=objective,
-        basis=[basis],
-        grid=grid,
-        seed_coeffs=[seed],
-        label="bs",
-    )
+    return reduced_basis_problem(objective, grid, [[asig]], n_hats=9 if rich_basis else 0,
+                                 label="bs")

@@ -36,9 +36,9 @@ from scipy import optimize
 
 from .errors import NumericalError, OptimError
 from .measure import DriftMode, DriftSchedule
-from .model import HestonParams, TimeGrid
+from .model import HestonParams, TimeGrid, psi_deterministic
 from .payoff import PayoffSpec, WeightPath
-from .varopt import NEG_SENTINEL, VariationalProblem, hat_basis, stack_basis
+from .varopt import NEG_SENTINEL, VariationalProblem, reduced_basis_problem
 from .drift_bs import call_curve
 
 RICCATI_SUBSTEPS = 4
@@ -415,30 +415,12 @@ def ldp_problem(
         pen = 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
         return val - pen
 
-    from .model import psi_deterministic
-
     shape = np.sqrt(psi_deterministic(params, grid))
     if alpha is not None:
         shape = shape * alpha.on_grid(grid)
-    blocks = [shape[None, :], np.ones((1, grid.n_steps + 1))]
-    if extra_atoms:
-        blocks += [np.asarray(p1, dtype=float)[None, :] for p1, _ in extra_atoms]
-    ch1 = stack_basis(*blocks, hat_basis(grid, n_hats))
-    blocks2 = [shape[None, :], np.ones((1, grid.n_steps + 1))]
-    if extra_atoms:
-        blocks2 += [np.asarray(p2, dtype=float)[None, :] for _, p2 in extra_atoms]
-    ch2 = stack_basis(*blocks2, hat_basis(grid, n_hats))
-
-    m1 = ch1.shape[0]
-    seed = np.zeros(m1 + ch2.shape[0])
-    seed[0] = seed[m1] = 1.0
-    return VariationalProblem(
-        objective=objective,
-        basis=[ch1, ch2],
-        grid=grid,
-        seed_coeffs=[seed],
-        label=f"ldp_{mode.value}",
-    )
+    own = [shape, np.ones(grid.n_steps + 1)]
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
+                                 label=f"ldp_{mode.value}")
 
 
 def atom_coefficients(problem: VariationalProblem, atom_index_per_channel: int) -> np.ndarray:

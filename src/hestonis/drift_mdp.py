@@ -29,8 +29,8 @@ from .errors import DomainError, OptimError
 from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid, psi_deterministic
 from .payoff import PayoffSpec, WeightPath
-from .varopt import NEG_SENTINEL, VariationalProblem, hat_basis, stack_basis
-from .drift_bs import bs_beta, bs_drift, call_curve, solve_call_scale
+from .varopt import NEG_SENTINEL, VariationalProblem, reduced_basis_problem
+from .drift_bs import bs_beta, bs_drift, bs_scale, call_curve
 
 
 def _cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
@@ -130,8 +130,8 @@ def mdp_log_drift(
 ) -> DriftSchedule:
     """Log-price small-noise drift: (U, (Z - rho U)/rho_bar) at the optimal beta."""
     aux, a, u_load, z_load, s1, s2 = _log_reduction(alpha, params, grid)
-    F, Fp, c = _fbar_curve(spec, alpha, params, grid)
-    beta = solve_call_scale(F, Fp, c, s1, s2)
+    _, _, c = _fbar_curve(spec, alpha, params, grid)
+    beta = bs_scale(s1, s2, c)
     sqp = np.sqrt(aux.psi)
     h1 = beta * u_load
     h2 = beta * (z_load - params.rho * u_load) / params.rho_bar
@@ -206,11 +206,6 @@ def large_time_constants(params: HestonParams) -> LargeTimeConstants:
     return LargeTimeConstants(ey=ey, esqrt=esqrt, nu=nu, bvec=bvec)
 
 
-def large_time_scalar(F, Fp, c_thr: float, w: float, nu: float) -> float:
-    """argmax over c of F(c w) - nu c^2 w / 4 (penalty coefficient nu/2 per unit)."""
-    return solve_call_scale(F, Fp, c_thr, w, 0.5 * nu * w)
-
-
 def mdp_large_time_drift(
     spec: PayoffSpec,
     alpha: WeightPath,
@@ -218,6 +213,9 @@ def mdp_large_time_drift(
     grid: TimeGrid,
 ) -> DriftSchedule:
     """Deterministic large-time drift h = B_dual c* alpha.
+
+    c* = argmax F(c w) - nu_dual c^2 w / 4 with w = int alpha^2, the scalar
+    call reduction with moments (w, nu_dual w / 2).
 
     The constants come from large_time_constants verbatim; the emission applies
     the covariance-inverse duality (nu_dual, B_dual) = (1/nu, -B/nu), which is
@@ -230,8 +228,8 @@ def mdp_large_time_drift(
     b_dual = -consts.bvec / consts.nu
     a = alpha.on_grid(grid)
     w = float((a[:-1] ** 2).sum() * grid.dt)
-    F, Fp, c_thr = _fbar_curve(spec, alpha, params, grid)
-    c_star = large_time_scalar(F, Fp, c_thr, w, nu_dual)
+    _, _, c_thr = _fbar_curve(spec, alpha, params, grid)
+    c_star = bs_scale(w, 0.5 * nu_dual * w, c_thr)
     return DriftSchedule(
         DriftMode.DETERMINISTIC,
         b_dual[0] * c_star * a,
@@ -287,20 +285,9 @@ def mdp_log_problem(
         return val - pen
 
     shape = sqp if alpha is None else sqp * alpha.on_grid(grid)
-    blocks1 = [shape[None, :], np.ones((1, grid.n_steps + 1))]
-    blocks2 = [shape[None, :], np.ones((1, grid.n_steps + 1))]
-    if extra_atoms:
-        blocks1 += [np.asarray(p1, dtype=float)[None, :] for p1, _ in extra_atoms]
-        blocks2 += [np.asarray(p2, dtype=float)[None, :] for _, p2 in extra_atoms]
-    ch1 = stack_basis(*blocks1, hat_basis(grid, n_hats))
-    ch2 = stack_basis(*blocks2, hat_basis(grid, n_hats))
-    m1 = ch1.shape[0]
-    seed = np.zeros(m1 + ch2.shape[0])
-    seed[0] = seed[m1] = 1.0
-    return VariationalProblem(
-        objective=objective, basis=[ch1, ch2], grid=grid, seed_coeffs=[seed],
-        label="mdp_log",
-    )
+    own = [shape, np.ones(grid.n_steps + 1)]
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
+                                 label="mdp_log")
 
 
 def mdp_price_problem(
@@ -328,22 +315,9 @@ def mdp_price_problem(
             return NEG_SENTINEL
         return float(val) - 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
 
-    shape = a * sqp
-    blocks1 = [shape[None, :]]
-    blocks2 = [shape[None, :]]
-    if extra_atoms:
-        blocks1 += [np.asarray(p1, dtype=float)[None, :] for p1, _ in extra_atoms]
-        blocks2 += [np.asarray(p2, dtype=float)[None, :] for _, p2 in extra_atoms]
-    ch1 = stack_basis(*blocks1, hat_basis(grid, n_hats))
-    ch2 = stack_basis(*blocks2, hat_basis(grid, n_hats))
-    m1 = ch1.shape[0]
-    seed = np.zeros(m1 + ch2.shape[0])
-    seed[0] = rho
-    seed[m1] = rho_bar
-    return VariationalProblem(
-        objective=objective, basis=[ch1, ch2], grid=grid, seed_coeffs=[seed],
-        label="mdp_price",
-    )
+    own = [a * sqp]
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
+                                 start=(rho, rho_bar), label="mdp_price")
 
 
 def large_time_problem(
@@ -352,7 +326,6 @@ def large_time_problem(
     grid: TimeGrid,
     alpha: WeightPath,
     nu: float,
-    extra_atoms: list[np.ndarray] | None = None,
     n_hats: int = 9,
 ) -> VariationalProblem:
     """Single-channel reduced form sup F-bar(sum alpha x1) - (nu/4) sum x1^2."""
@@ -366,13 +339,5 @@ def large_time_problem(
             return NEG_SENTINEL
         return float(val) - 0.25 * nu * float((xdot1[:-1] ** 2).sum() * dt)
 
-    blocks = [a[None, :]]
-    if extra_atoms:
-        blocks += [np.asarray(p, dtype=float)[None, :] for p in extra_atoms]
-    basis = stack_basis(*blocks, hat_basis(grid, n_hats))
-    seed = np.zeros(basis.shape[0])
-    seed[0] = 1.0
-    return VariationalProblem(
-        objective=objective, basis=[basis], grid=grid, seed_coeffs=[seed],
-        label="mdp_large_time",
-    )
+    return reduced_basis_problem(objective, grid, [[a]], n_hats=n_hats,
+                                 label="mdp_large_time")

@@ -143,6 +143,20 @@ def eval_vol_indicator(
     return (v * ind).sum(axis=-1) * grid.dt
 
 
+def log_vol_indicator(
+    phi_dot: np.ndarray, v: np.ndarray, params: HestonParams, strike: float, grid: TimeGrid
+) -> float:
+    """log of ``eval_vol_indicator`` on one deterministic path; -inf where it vanishes.
+
+    The log-price X integrates the rate ``phi_dot`` at left points from X_0 = 0,
+    S = s0 e^{rt + X} as in ``evaluate``, and ``v`` is the variance path.
+    """
+    x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * grid.dt)])
+    s = params.s0 * np.exp(params.r * grid.knots + x)
+    val = float(eval_vol_indicator(v, s, strike, grid))
+    return np.log(val) if val > 0.0 else -np.inf
+
+
 def evaluate(
     spec: PayoffSpec,
     params: HestonParams,

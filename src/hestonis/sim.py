@@ -64,9 +64,6 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.x.shape[0]
 
-    def spot(self, params: HestonParams) -> np.ndarray:
-        return params.s0 * np.exp(params.r * self.grid.knots + self.x)
-
 
 def normal_increments(
     rng: RngSpec, n_paths: int, n_steps: int, dt: float

@@ -35,6 +35,8 @@ class VariationalProblem:
     ``seed_coeffs`` are coefficient vectors used for the deterministic
     multi-starts; by convention the first rows of each basis are the
     problem-aware atoms, so unit vectors there are meaningful starts.
+    ``extra_index`` is the row where each channel's extra atoms begin (see
+    ``reduced_basis_problem``).
     """
 
     objective: Callable[..., float]
@@ -42,6 +44,7 @@ class VariationalProblem:
     grid: TimeGrid
     seed_coeffs: list[np.ndarray] = field(default_factory=list)
     label: str = ""
+    extra_index: int = 0
 
     def __post_init__(self):
         for b in self.basis:
@@ -81,12 +84,31 @@ def hat_basis(grid: TimeGrid, m: int) -> np.ndarray:
     return rows
 
 
-def atom_basis(profiles: Sequence[np.ndarray]) -> np.ndarray:
-    return np.vstack([np.asarray(p, dtype=float) for p in profiles])
+def reduced_basis_problem(
+    objective: Callable[..., float],
+    grid: TimeGrid,
+    atoms: Sequence[Sequence[np.ndarray]],
+    extra_atoms: Sequence[Sequence[np.ndarray]] | None = None,
+    n_hats: int = 9,
+    start: Sequence[float] | None = None,
+    label: str = "",
+) -> VariationalProblem:
+    """The one problem builder: each channel's basis is [problem atoms, extra
+    atoms, ``n_hats`` hats].
 
-
-def stack_basis(*blocks: np.ndarray) -> np.ndarray:
-    return np.vstack(blocks)
+    ``atoms`` holds each channel's problem atoms (the same count in every
+    channel); each entry of ``extra_atoms`` holds one profile per channel, and
+    ``extra_index`` records the row where they begin. The start puts
+    ``start[ch]`` (default 1) on atom 0 of each channel.
+    """
+    hats = [hat_basis(grid, n_hats)] if n_hats else []
+    basis = [np.vstack([*own, *(e[ch] for e in extra_atoms or ()), *hats], dtype=float)
+             for ch, own in enumerate(atoms)]
+    seed = np.zeros(sum(b.shape[0] for b in basis))
+    seed[np.cumsum([0] + [b.shape[0] for b in basis[:-1]])] = 1.0 if start is None else start
+    return VariationalProblem(objective=objective, basis=basis, grid=grid,
+                              seed_coeffs=[seed], label=label,
+                              extra_index=len(atoms[0]))
 
 
 def embed_profiles(problem: VariationalProblem, profiles: list[np.ndarray]) -> np.ndarray:

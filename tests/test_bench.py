@@ -320,6 +320,20 @@ def test_small_time_schedule_is_the_root_at_sqrt_v0(params, kind, mode):
         assert np.array_equal(got.h2_dot, want.h2_dot)
 
 
+@pytest.mark.parametrize("kind", [EstimatorKind.BS, EstimatorKind.LDP_SN,
+                                  EstimatorKind.MDP_SN_LOG, EstimatorKind.MDP_LT])
+def test_factory_cache_tells_payoff_kinds_apart(params, kind):
+    grid = TimeGrid(16, 1.0)
+    geometric = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
+    european = make_payoff(PayoffKind.EUROPEAN_CALL, 60.0, 1.0)
+    shared = bench.DriftFactory(params, grid)
+    shared.build(kind, geometric)
+    got, _ = shared.build(kind, european)
+    want, _ = bench.DriftFactory(params, grid).build(kind, european)
+    assert np.array_equal(got.h1_dot, want.h1_dot)
+    assert np.array_equal(got.h2_dot, want.h2_dot)
+
+
 #: What perfbench's tracer patches, by hestonis module, with the arguments it
 #: reads by position (name, index).
 TRACED = {

@@ -3,7 +3,9 @@ import pytest
 
 from hestonis import bench
 from hestonis.cli import (
+    _ORACLES,
     APPENDIX_KINDS,
+    PRESETS,
     TABLE3_KINDS,
     TABLE3_STRIKES,
     VARSWAP_KINDS,
@@ -11,6 +13,10 @@ from hestonis.cli import (
     main,
     parse_config_file,
 )
+from hestonis.drift_ldp import atom_coefficients
+from hestonis.measure import DriftMode
+from hestonis.model import EQUITY_PARAMS, TimeGrid
+from hestonis.payoff import PayoffKind, make_payoff
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +132,35 @@ def test_preset_expansions():
     assert "BS_A2" in TABLE3_KINDS
     assert "ControlGeometric" in APPENDIX_KINDS
     assert "LDPsn" in VARSWAP_KINDS
+    assert set(PRESETS) == {"table3", "appendixC", "varswap"}
+
+
+def test_explicit_payoff_wins_over_the_preset(capsys):
+    common = ("--strikes", "50", "--kinds", "Classic,BS", "--paths", "3000",
+              "--steps", "16", "--stable-output")
+    _, plain, _ = run_cli(capsys, "price", "--payoff", "geometric_asian_call", *common)
+    code, preset, _ = run_cli(capsys, "price", "--preset", "appendixC",
+                              "--payoff", "geometric_asian_call", *common)
+    assert code == 0
+    assert preset == plain
+
+
+#: The row of each oracle problem's channels that holds the pipeline's drift,
+#: as the acceptance suite's ``_oracle_case`` also indexes it.
+_ORACLE_ATOM_ROWS = {"ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_price": 1}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_ORACLES))
+def test_oracle_closed_form_sits_on_the_extra_atoms(pipeline):
+    grid = TimeGrid(16, 1.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
+    factory = bench.DriftFactory(EQUITY_PARAMS, grid)
+    problem = _ORACLES[pipeline](pipeline, {}, spec, spec.weight, factory)
+    got = atom_coefficients(problem, problem.extra_index)
+    assert np.array_equal(got, atom_coefficients(problem, _ORACLE_ATOM_ROWS[pipeline]))
+    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+    h1, h2 = problem.expand(got)
+    assert np.array_equal(h1, det.h1_dot) and np.array_equal(h2, det.h2_dot)
 
 
 def test_determinism_byte_identical_csv(tmp_path, capsys):

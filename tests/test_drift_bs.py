@@ -10,8 +10,8 @@ from hestonis.drift_bs import (
     bs_fully_adaptive,
     bs_problem,
     bs_root,
+    bs_scale,
     call_curve,
-    solve_call_scale,
     _vector_bs_root,
 )
 from hestonis.errors import OptimError
@@ -155,12 +155,15 @@ def test_vector_root_matches_scalar():
         assert bi == pytest.approx(bs_root(vi, ci), rel=1e-10, abs=1e-10)
 
 
-def test_solve_call_scale_matches_root_when_moments_agree(params, grid):
+def test_bs_scale_matches_root_when_moments_agree(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
     sigma = np.sqrt(psi_deterministic(params, grid))
     red = bs_beta(spec, sigma, spec.weight, grid, params)
-    a = spec.weight.on_grid(grid)
-    shift = 0.5 * float((a[:-1] * sigma[:-1] ** 2).sum() * grid.dt)
-    F, Fp, c = call_curve(spec, params, shift)
-    beta = solve_call_scale(F, Fp, c, red.v_quad, red.v_quad)
+    beta = bs_scale(red.v_quad, red.v_quad, red.c_threshold)
     assert beta == pytest.approx(red.beta_star, rel=1e-10)
+
+
+def test_bs_scale_needs_positive_moments():
+    for s1, s2 in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(OptimError, match="positive moments"):
+            bs_scale(s1, s2, 0.1)

@@ -8,13 +8,13 @@ from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
 from hestonis import varopt
-from hestonis.drift_bs import bs_beta
+from hestonis.drift_bs import bs_beta, bs_scale
 from hestonis.drift_mdp import (
     _fbar_curve,
+    _log_reduction,
     gamma_moments,
     large_time_constants,
     large_time_problem,
-    large_time_scalar,
     mdp_auxiliary,
     mdp_large_time_drift,
     mdp_log_drift,
@@ -25,7 +25,7 @@ from hestonis.drift_mdp import (
     mdp_small_time_drift,
 )
 from hestonis.measure import DriftMode
-from hestonis.model import EQUITY_PARAMS, psi_deterministic
+from hestonis.model import EQUITY_PARAMS, TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, geometric_weight, make_payoff
 
 
@@ -89,8 +89,6 @@ class TestLogPriceMode:
         assert_allclose(d.h1_dot, beta * aux.u, atol=1e-12)
 
     def test_stationarity_of_scale(self, params, grid, alpha, spec):
-        from hestonis.drift_mdp import _log_reduction
-
         _, _, _, _, s1, s2 = _log_reduction(alpha, params, grid)
         d = mdp_log_drift(spec, alpha, params, grid)
         aux = mdp_auxiliary(alpha, params, grid)
@@ -208,19 +206,11 @@ class TestLargeTime:
     def test_quadratic_coefficient_scaling(self, params, grid, alpha):
         # far out of the money the slope is ~1, so c* scales like 1/nu
         spec80 = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 80.0, 1.0)
-        F, Fp, c_thr = _fbar_curve(spec80, alpha, params, grid)
+        _, _, c_thr = _fbar_curve(spec80, alpha, params, grid)
         w = float((alpha.on_grid(grid)[:-1] ** 2).sum() * grid.dt)
-        c1 = large_time_scalar(F, Fp, c_thr, w, 0.02)
-        c4 = large_time_scalar(F, Fp, c_thr, w, 0.08)
+        c1 = bs_scale(w, 0.5 * 0.02 * w, c_thr)
+        c4 = bs_scale(w, 0.5 * 0.08 * w, c_thr)
         assert c4 / c1 == pytest.approx(0.25, rel=0.02)
-
-    def test_payoff_scale_invariance(self, params, grid, alpha, spec):
-        # scaling the payoff by 10 shifts F by log 10 and leaves c* unchanged
-        F, Fp, c_thr = _fbar_curve(spec, alpha, params, grid)
-        w = float((alpha.on_grid(grid)[:-1] ** 2).sum() * grid.dt)
-        c_a = large_time_scalar(F, Fp, c_thr, w, 2.0)
-        c_b = large_time_scalar(lambda y: F(y) + np.log(10.0), Fp, c_thr, w, 2.0)
-        assert abs(c_a - c_b) <= 1e-10
 
     def test_drift_shape_and_direction(self, params, grid, alpha, spec):
         d = mdp_large_time_drift(spec, alpha, params, grid)
@@ -258,3 +248,27 @@ class TestLargeTime:
             mdp_large_time_drift(spec, alpha, params, grid)
         t_lt = time.perf_counter() - t0
         assert t_lt <= 2.0 * t_bs + 0.05
+
+
+@pytest.mark.parametrize("n_steps", [16, 252])
+@pytest.mark.parametrize("kind", [PayoffKind.GEOMETRIC_ASIAN_CALL, PayoffKind.EUROPEAN_CALL])
+def test_scalar_scales_are_stationary(params, n_steps, kind):
+    # the scale each closed form emits solves s1 F'(beta s1) = beta s2, with
+    # F' the call curve's own derivative
+    grid = TimeGrid(n_steps, 1.0)
+    consts = large_time_constants(params)
+    for strike in (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0):
+        spec = make_payoff(kind, strike, 1.0)
+        alpha = spec.weight
+        a = alpha.on_grid(grid)
+        _, fp, _ = _fbar_curve(spec, alpha, params, grid)
+
+        _, _, u_load, _, s1, s2 = _log_reduction(alpha, params, grid)
+        beta = mdp_log_drift(spec, alpha, params, grid).h1_dot[0] / u_load[0]
+        assert s1 * fp(beta * s1) == pytest.approx(beta * s2, rel=1e-12, abs=0.0)
+
+        w = float((a[:-1] ** 2).sum() * grid.dt)
+        s2_lt = 0.5 * w / consts.nu  # nu_dual = 1 / nu
+        b_dual = -consts.bvec[0] / consts.nu
+        c_star = mdp_large_time_drift(spec, alpha, params, grid).h1_dot[0] / (b_dual * a[0])
+        assert w * fp(c_star * w) == pytest.approx(c_star * s2_lt, rel=1e-12, abs=0.0)

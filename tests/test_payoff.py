@@ -13,6 +13,7 @@ from hestonis.payoff import (
     eval_vol_indicator,
     geometric_weight,
     log_forward,
+    log_vol_indicator,
     make_payoff,
 )
 
@@ -74,6 +75,25 @@ class TestVolIndicator:
         v = np.full(3, 0.04)
         s = np.array([60.0, 40.0, 40.0])  # on at t0, off at t1
         assert eval_vol_indicator(v, s, 50.0, g) == pytest.approx(0.02)
+
+    def test_log_functional_is_the_log_of_the_path_payoff(self, params):
+        g = TimeGrid(64, 1.0)
+        gen = np.random.default_rng(11)
+        vanished = 0
+        for _ in range(200):
+            phi_dot = gen.normal(0.0, 0.6, g.n_steps + 1)
+            v = gen.uniform(0.01, 0.2, g.n_steps + 1)
+            strike = float(gen.uniform(10.0, 70.0))
+            x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * g.dt)])
+            s = params.s0 * np.exp(params.r * g.knots + x)
+            want = float(eval_vol_indicator(v, s, strike, g))
+            got = log_vol_indicator(phi_dot, v, params, strike, g)
+            if want > 0.0:
+                assert got == np.log(want)  # bit for bit
+            else:
+                assert got == -np.inf
+                vanished += 1
+        assert 0 < vanished < 200
 
 
 def _log_payoff(spec, y, params):
