@@ -138,23 +138,22 @@ class EstimatorReport:
     error: str = ""
 
 
-CSV_COLUMNS = (
-    "kind,strike,n_paths,n_steps,seed,price,std_err,variance,"
-    "var_reduction,prob_positive,wall_time_s,drift_time_s"
-)
+_FORMATS = {"str": str, "int": str, "float": lambda v: repr(float(v))}
+#: The CSV's columns: every report field but ``error``, each with the
+#: formatter of its declared type.
+_CSV_FIELDS = [(f.name, _FORMATS[f.type]) for f in fields(EstimatorReport) if f.name != "error"]
+CSV_COLUMNS = ",".join(name for name, _ in _CSV_FIELDS)
+_TIMING_COLUMNS = ("wall_time_s", "drift_time_s")
 
 
 def reports_to_csv(reports: list[EstimatorReport], stable_output: bool = False) -> str:
+    """One row per report; ``stable_output`` zeroes the timing columns."""
     lines = [CSV_COLUMNS]
     for r in reports:
-        wall, drift_t = (0.0, 0.0) if stable_output else (r.wall_time_s, r.drift_time_s)
-        cells = [r.kind, repr(float(r.strike)), str(r.n_paths), str(r.n_steps),
-                 str(r.seed)] + [
-            repr(float(v))
-            for v in (r.price, r.std_err, r.variance, r.var_reduction,
-                      r.prob_positive, wall, drift_t)
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            fmt(0.0 if stable_output and name in _TIMING_COLUMNS else getattr(r, name))
+            for name, fmt in _CSV_FIELDS
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -289,13 +288,14 @@ class DriftFactory:
 
     def _solve_with_vega_atom(self, make_problem):
         """Solve ``make_problem(extra_atoms)``, seeded at unit weight on the
-        variance-response atom that ``extra_atoms`` appends to channel 1."""
+        variance-response atom that ``extra_atoms`` appends to channel 1: five
+        starts of 500 evaluations each."""
         vega = self._variance_response_atom()
         problem = make_problem([(vega, np.zeros_like(vega))])
-        init = np.zeros(problem.n_coeffs)
-        init[problem.extra_index] = 1.0
-        problem.seed_coeffs = [init]
-        coeffs, _ = varopt.solve(problem, init=init, budget=3000)
+        seed = np.zeros(problem.n_coeffs)
+        seed[problem.extra_index] = 1.0
+        problem.seed_coeffs = seed
+        coeffs, _ = varopt.solve(problem, budget=2500)
         return problem.expand(coeffs)
 
     def _solve_vs_ldp(self, spec):
@@ -607,7 +607,6 @@ def run_estimator(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    classic_variance: float | None = None,
     workers: int = 1,
     factory: DriftFactory | None = None,
     shared: tuple[_ChunkGroup, _TableCell] | None = None,
@@ -616,23 +615,21 @@ def run_estimator(
 
     ``factory`` fixes the model (constant vol when it has a ``sigma``) and
     caches drift builds. Alone, the cell runs as a one-strike table with
-    Classic as its baseline, unless ``classic_variance`` is given, and its
-    error is raised. With ``shared=(group, cell)``, as the table engine calls
-    it, run only the group's chunks on their pre-drawn increments, add their
-    moments and the elapsed time to ``cell`` and return None; ``n_paths``,
-    ``classic_variance`` and ``workers`` are then not used.
+    Classic as its baseline, and its error is raised. With ``shared=(group,
+    cell)``, as the table engine calls it, run only the group's chunks on
+    their pre-drawn increments, add their moments and the elapsed time to
+    ``cell`` and return None; ``n_paths`` and ``workers`` are then not used.
     """
     validate(params)
     factory = factory or DriftFactory(params, grid)
     if shared is None:
         cells = [_TableCell(kind, spec, drift=_build_drift(kind, spec, factory))]
-        if kind is not EstimatorKind.CLASSIC and classic_variance is None:
+        if kind is not EstimatorKind.CLASSIC:
             cells.append(_TableCell(EstimatorKind.CLASSIC, spec))
         _run_cells(cells, factory, n_paths, seed, workers)
         if cells[0].error is not None:
             raise cells[0].error
-        if len(cells) > 1:
-            classic_variance = _report(cells[1], factory, n_paths, seed, None).variance
+        classic_variance = _report(cells[-1], factory, n_paths, seed, None).variance
         return _report(cells[0], factory, n_paths, seed, classic_variance)
 
     group, cell = shared

@@ -18,7 +18,13 @@ from .payoff import PayoffKind, geometric_weight, make_payoff
 from .measure import DriftMode
 from . import bench, varopt
 from .drift_ldp import atom_coefficients, ldp_problem
-from .drift_mdp import mdp_auxiliary, mdp_log_problem, mdp_price_problem
+from .drift_mdp import (
+    large_time_constants,
+    large_time_problem,
+    mdp_auxiliary,
+    mdp_log_problem,
+    mdp_price_problem,
+)
 from .bench import EstimatorKind, reports_to_csv
 
 TABLE3_STRIKES = [30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0, 85.0]
@@ -202,16 +208,30 @@ def _mdp_log_oracle(pipeline, cols, spec, alpha, factory):
 
 
 def _mdp_price_oracle(pipeline, cols, spec, alpha, factory):
+    """The price problem on the pipeline's frozen variance: v0 for MDPst, psi otherwise."""
+    params, grid = factory.params, factory.grid
+    psi = np.full(grid.n_steps + 1, params.v0) if pipeline == "mdp_st" else None
     det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
-    return mdp_price_problem(spec, factory.params, factory.grid, alpha,
+    return mdp_price_problem(spec, params, grid, alpha, psi=psi,
                              extra_atoms=[(det.h1_dot, det.h2_dot)])
+
+
+def _large_time_oracle(pipeline, cols, spec, alpha, factory):
+    """The one-channel problem in x1, whose closed form c* alpha is the drift's
+    second channel over its loading B_dual[1] > 0."""
+    consts = large_time_constants(factory.params)
+    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+    x1 = det.h2_dot / (-consts.bvec[1] / consts.nu)
+    return large_time_problem(spec, factory.params, factory.grid, alpha, 1.0 / consts.nu,
+                              extra_atoms=[(x1,)])
 
 
 #: Call-payoff pipelines with a reduced-basis oracle: each adds its auxiliary
 #: paths to the dump and returns the oracle problem, whose extra atom holds the
-#: pipeline's deterministic drift.
-_ORACLES = {"ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
-            "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle}
+#: pipeline's closed-form drift.
+_ORACLES = {"bs": _mdp_price_oracle, "ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
+            "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle,
+            "mdp_st": _mdp_price_oracle, "mdp_lt": _large_time_oracle}
 
 
 def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):

@@ -255,20 +255,6 @@ def _family_evaluator(
     return score
 
 
-def ldp_objective(
-    beta: float,
-    a0: float,
-    spec: PayoffSpec,
-    alpha: WeightPath,
-    params: HestonParams,
-    grid: TimeGrid,
-    mode: LdpMode,
-) -> float:
-    """F(sum alpha phi_dot dt) - ||x_dot||^2/2 at one family member; -inf on rejection."""
-    _, val = _family_evaluator(spec, alpha, params, grid, mode)(beta, a0)
-    return val
-
-
 A0_STARTS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 BETA_STARTS = (0.1, 1.0, 5.0, 20.0)
 
@@ -381,7 +367,6 @@ def ldp_problem(
     payoff_log: Callable[[np.ndarray, np.ndarray], float] | None = None,
     alpha: WeightPath | None = None,
     extra_atoms: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    n_hats: int = 9,
 ) -> VariationalProblem:
     """Two-channel variational problem on the same discrete functional.
 
@@ -419,14 +404,13 @@ def ldp_problem(
     if alpha is not None:
         shape = shape * alpha.on_grid(grid)
     own = [shape, np.ones(grid.n_steps + 1)]
-    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms,
                                  label=f"ldp_{mode.value}")
 
 
 def atom_coefficients(problem: VariationalProblem, atom_index_per_channel: int) -> np.ndarray:
-    """Unit coefficients on one appended atom in each channel."""
-    m1 = problem.basis[0].shape[0]
+    """Unit coefficients on the same basis row of every channel."""
+    rows = np.cumsum([0] + [b.shape[0] for b in problem.basis[:-1]]) + atom_index_per_channel
     c = np.zeros(problem.n_coeffs)
-    c[atom_index_per_channel] = 1.0
-    c[m1 + atom_index_per_channel] = 1.0
+    c[rows] = 1.0
     return c

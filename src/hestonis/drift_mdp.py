@@ -96,31 +96,6 @@ def _fbar_curve(spec: PayoffSpec, alpha: WeightPath, params: HestonParams, grid:
     return call_curve(spec, params, shift)
 
 
-def mdp_log_objective(
-    beta: float,
-    eta0: float,
-    spec: PayoffSpec,
-    alpha: WeightPath,
-    params: HestonParams,
-    grid: TimeGrid,
-) -> float:
-    """F-bar(beta S1 - eta0 int alpha e^{B} / 2) - beta^2 S2 / 2.
-
-    eta0 shifts the starting point of the fluctuation eta; the admissible
-    problem pins it to zero (the optimizer only searches beta), but the term is
-    exposed for diagnostics.
-    """
-    aux, a, _, _, s1, s2 = _log_reduction(alpha, params, grid)
-    F, _, _ = _fbar_curve(spec, alpha, params, grid)
-    eta0_term = -0.5 * eta0 * float(
-        (a[:-1] * np.exp(aux.b_path[:-1])).sum() * grid.dt
-    )
-    val = F(beta * s1 + eta0_term)
-    if not np.isfinite(val):
-        return -np.inf
-    return float(val) - 0.5 * beta * beta * s2
-
-
 def mdp_log_drift(
     spec: PayoffSpec,
     alpha: WeightPath,
@@ -249,7 +224,6 @@ def mdp_log_problem(
     alpha: WeightPath | None = None,
     payoff_log: Callable[[np.ndarray, np.ndarray, np.ndarray], float] | None = None,
     extra_atoms: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    n_hats: int = 9,
 ) -> VariationalProblem:
     """sup F-bar(sum alpha phi_dot) - ||x||^2/2 with the eta feedback:
 
@@ -286,8 +260,7 @@ def mdp_log_problem(
 
     shape = sqp if alpha is None else sqp * alpha.on_grid(grid)
     own = [shape, np.ones(grid.n_steps + 1)]
-    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
-                                 label="mdp_log")
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, label="mdp_log")
 
 
 def mdp_price_problem(
@@ -297,7 +270,6 @@ def mdp_price_problem(
     alpha: WeightPath,
     psi: np.ndarray | None = None,
     extra_atoms: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    n_hats: int = 9,
 ) -> VariationalProblem:
     """sup F-bar(sum alpha phi_dot) - ||x||^2/2 with phi_dot = sqrt(psi)(rho x1 + rho_bar x2)."""
     if psi is None:
@@ -316,7 +288,7 @@ def mdp_price_problem(
         return float(val) - 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
 
     own = [a * sqp]
-    return reduced_basis_problem(objective, grid, [own, own], extra_atoms, n_hats,
+    return reduced_basis_problem(objective, grid, [own, own], extra_atoms,
                                  start=(rho, rho_bar), label="mdp_price")
 
 
@@ -326,9 +298,12 @@ def large_time_problem(
     grid: TimeGrid,
     alpha: WeightPath,
     nu: float,
-    n_hats: int = 9,
+    extra_atoms: list[tuple[np.ndarray]] | None = None,
 ) -> VariationalProblem:
-    """Single-channel reduced form sup F-bar(sum alpha x1) - (nu/4) sum x1^2."""
+    """Single-channel reduced form sup F-bar(sum alpha x1) - (nu/4) sum x1^2.
+
+    ``extra_atoms`` appends x1 profiles, such as the closed form c* alpha.
+    """
     a = alpha.on_grid(grid)
     F, _, _ = _fbar_curve(spec, alpha, params, grid)
     dt = grid.dt
@@ -339,5 +314,4 @@ def large_time_problem(
             return NEG_SENTINEL
         return float(val) - 0.25 * nu * float((xdot1[:-1] ** 2).sum() * dt)
 
-    return reduced_basis_problem(objective, grid, [[a]], n_hats=n_hats,
-                                 label="mdp_large_time")
+    return reduced_basis_problem(objective, grid, [[a]], extra_atoms, label="mdp_large_time")

@@ -76,11 +76,6 @@ class DriftSchedule:
             )
 
 
-def zero_drift(grid: TimeGrid) -> DriftSchedule:
-    z = np.zeros(grid.n_steps + 1)
-    return DriftSchedule(DriftMode.DETERMINISTIC, z, z.copy(), provenance="zero")
-
-
 def _modulation(batch: "PathBatch", drift: DriftSchedule):
     """Per-step (m1, m2) with shape (n_paths, n_steps) for a fixed-mode schedule."""
     n = batch.grid.n_steps

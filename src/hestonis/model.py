@@ -39,11 +39,6 @@ class HestonParams:
     def rho_bar(self) -> float:
         return float(np.sqrt(1.0 - self.rho * self.rho))
 
-    @property
-    def feller_ok(self) -> bool:
-        """Informational flag: 2*kappa*theta >= xi**2 (not required by the scheme)."""
-        return 2.0 * self.kappa * self.theta >= self.xi * self.xi
-
 
 #: Benchmark parameter set used throughout the test and experiment suite.
 EQUITY_PARAMS = HestonParams(
@@ -53,30 +48,15 @@ EQUITY_PARAMS = HestonParams(
 
 @dataclass(frozen=True)
 class SVCoefficients:
-    """Drift f, diffusion g and f' for a generic stochastic-volatility variance process."""
+    """Drift f of a generic stochastic-volatility variance process."""
 
     drift_f: Callable[[float], float]
-    diffusion_g: Callable[[float], float]
-    drift_f_prime: Callable[[float], float]
 
 
 def heston_coefficients(params: HestonParams) -> SVCoefficients:
-    """Heston instantiation: f(v) = kappa (theta - v), g(v) = xi sqrt(v)."""
-    k, th, xi = params.kappa, params.theta, params.xi
-    return SVCoefficients(
-        drift_f=lambda v: k * (th - v),
-        diffusion_g=lambda v: xi * np.sqrt(v),
-        drift_f_prime=lambda v: -k,
-    )
-
-
-def check_coefficients(coeffs: SVCoefficients, probe: np.ndarray) -> None:
-    """Numerically verify g > 0 and nondecreasing on a probe grid."""
-    g = np.array([coeffs.diffusion_g(v) for v in probe], dtype=float)
-    if np.any(g <= 0.0):
-        raise DomainError("diffusion g must be strictly positive")
-    if np.any(np.diff(g) < -1e-12 * np.maximum(1.0, np.abs(g[:-1]))):
-        raise DomainError("diffusion g must be nondecreasing")
+    """Heston instantiation: f(v) = kappa (theta - v)."""
+    k, th = params.kappa, params.theta
+    return SVCoefficients(drift_f=lambda v: k * (th - v))
 
 
 @dataclass(frozen=True)
@@ -101,8 +81,8 @@ def validate(params: HestonParams) -> HestonParams:
     """Check parameter invariants; returns the params unchanged.
 
     Raises DomainError for any nonpositive value or |rho| >= 1. The Feller
-    condition is reported through ``params.feller_ok`` only, never enforced:
-    the discretization tolerates variance excursions below zero.
+    condition 2 kappa theta >= xi^2 is never enforced: the discretization
+    tolerates variance excursions below zero.
     """
     for name in ("kappa", "theta", "xi", "v0", "s0", "t_end"):
         if not getattr(params, name) > 0.0:

@@ -44,10 +44,6 @@ class WeightPath:
             raise DomainError("weight path must be nonnegative on the grid")
         return a
 
-    def dot_on_grid(self, grid: TimeGrid) -> np.ndarray:
-        d = np.asarray(self.alpha_dot(grid.knots), dtype=float)
-        return np.broadcast_to(d, grid.knots.shape).copy()
-
 
 def european_weight(t_end: float) -> WeightPath:
     """alpha = 1: payoff reads the terminal value."""

@@ -1,15 +1,11 @@
 """Reduced-scale verification checks behind the `selftest` subcommand.
 
-Each check returns (name, passed, detail). The variance-moment Monte Carlo
-check honors the HESTONIS_NU_SCALE environment variable, which scales the
-closed-form value before comparison; setting it to anything other than 1 is a
-negative control that must make the check fail.
+Each check returns (name, passed, detail).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -118,10 +114,9 @@ def run_all(cfg) -> list[tuple[str, bool, str]]:
 
     # invariant-measure constants against Gamma Monte Carlo
     consts = large_time_constants(params)
-    scale = float(os.environ.get("HESTONIS_NU_SCALE", "1.0"))
     n_mc = int(min(max(10 * n_paths, 100_000), 10_000_000))
     nu_hat, se_nu, b_hat, se_b = _gamma_mc_constants(params, n_mc)
-    dev = abs(consts.nu * scale - nu_hat)
+    dev = abs(consts.nu - nu_hat)
     ok = dev <= 4.0 * se_nu and bool(np.all(np.abs(consts.bvec - b_hat) <= 4.0 * se_b))
     results.append(
         ("constants-vs-gamma-mc", ok, f"|nu dev| {dev:.2e} vs 4se {4*se_nu:.2e} (N={n_mc})")
@@ -150,11 +145,9 @@ def run_all(cfg) -> list[tuple[str, bool, str]]:
     results.append(("weight-martingale", dev <= 4.0 * se, f"|E[Z]-1| {dev:.2e} vs 4se {4*se:.2e}"))
 
     # unbiasedness: drift estimator against the classic one, paired seeds
-    rep_c = bench.run_estimator(EstimatorKind.CLASSIC, spec, params, grid, n_paths, cfg.seed)
-    rep_b = bench.run_estimator(
-        EstimatorKind.BS, spec, params, grid, n_paths, cfg.seed,
-        classic_variance=rep_c.variance,
-    )
+    rep_c, rep_b = bench.run_table(spec.kind, [spec.strike],
+                                   [EstimatorKind.CLASSIC, EstimatorKind.BS],
+                                   params, grid, n_paths, cfg.seed)
     tol = 4.0 * math.hypot(rep_c.std_err, rep_b.std_err)
     dev = abs(rep_c.price - rep_b.price)
     results.append(("unbiasedness", dev <= tol, f"|dprice| {dev:.2e} vs {tol:.2e}"))

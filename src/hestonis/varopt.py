@@ -10,7 +10,7 @@ payoffs without a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,9 +32,10 @@ class VariationalProblem:
     ``objective`` receives one array per channel (values on the grid knots) and
     returns the full objective value, penalty included; NEG_SENTINEL marks
     inadmissible points. ``basis`` holds one (m_ch, n_knots) matrix per channel.
-    ``seed_coeffs`` are coefficient vectors used for the deterministic
-    multi-starts; by convention the first rows of each basis are the
-    problem-aware atoms, so unit vectors there are meaningful starts.
+    ``seed_coeffs`` is the coefficient vector the deterministic multi-starts
+    scale (unit weight on the first basis row when None); by convention the
+    first rows of each basis are the problem-aware atoms, so unit vectors
+    there are meaningful starts.
     ``extra_index`` is the row where each channel's extra atoms begin (see
     ``reduced_basis_problem``).
     """
@@ -42,7 +43,7 @@ class VariationalProblem:
     objective: Callable[..., float]
     basis: list[np.ndarray]
     grid: TimeGrid
-    seed_coeffs: list[np.ndarray] = field(default_factory=list)
+    seed_coeffs: np.ndarray | None = None
     label: str = ""
     extra_index: int = 0
 
@@ -107,36 +108,18 @@ def reduced_basis_problem(
     seed = np.zeros(sum(b.shape[0] for b in basis))
     seed[np.cumsum([0] + [b.shape[0] for b in basis[:-1]])] = 1.0 if start is None else start
     return VariationalProblem(objective=objective, basis=basis, grid=grid,
-                              seed_coeffs=[seed], label=label,
+                              seed_coeffs=seed, label=label,
                               extra_index=len(atoms[0]))
 
 
-def embed_profiles(problem: VariationalProblem, profiles: list[np.ndarray]) -> np.ndarray:
-    """Coefficients reproducing the given channel profiles via least squares.
-
-    Exact whenever the profiles lie in the basis span (in particular when they
-    are atoms of the basis).
-    """
-    coeffs = []
-    for b, p in zip(problem.basis, profiles):
-        sol, *_ = np.linalg.lstsq(b.T, np.asarray(p, dtype=float), rcond=None)
-        coeffs.append(sol)
-    return np.concatenate(coeffs)
-
-
 def _default_starts(problem: VariationalProblem) -> list[np.ndarray]:
-    n = problem.n_coeffs
-    starts = [np.zeros(n)]
-    seeds = list(problem.seed_coeffs)
-    if not seeds:
-        e = np.zeros(n)
-        e[0] = 1.0
-        seeds = [e]
-    s0 = np.asarray(seeds[0], dtype=float)
-    starts += [s0, -s0]
-    s1 = np.asarray(seeds[1], dtype=float) if len(seeds) > 1 else 2.0 * s0
-    starts += [s1, -s1]
-    return starts
+    """Zero, then +/- the seed and +/- twice the seed."""
+    seed = problem.seed_coeffs
+    if seed is None:
+        seed = np.zeros(problem.n_coeffs)
+        seed[0] = 1.0
+    s0 = np.asarray(seed, dtype=float)
+    return [np.zeros(problem.n_coeffs), s0, -s0, 2.0 * s0, -2.0 * s0]
 
 
 def solve(
@@ -146,10 +129,10 @@ def solve(
 ) -> tuple[np.ndarray, float]:
     """Maximize over the basis coefficients; deterministic given (init, budget).
 
-    Runs Nelder-Mead from five fixed starts (zero, +/- the seed atoms) plus the
-    optional ``init``; returns the best point seen, which is never below the
-    objective at any start. Raises OptimError when every start is inadmissible
-    and no admissible point was found.
+    Runs Nelder-Mead from five fixed starts (zero, +/- the seed, +/- twice
+    the seed) plus the optional ``init``; returns the best point seen, which
+    is never below the objective at any start. Raises OptimError when every
+    start is inadmissible and no admissible point was found.
     """
     starts = _default_starts(problem)
     if init is not None:
@@ -177,23 +160,3 @@ def solve(
     if best_v <= NEG_SENTINEL / 2:
         raise OptimError(f"no admissible point found for problem {problem.label!r}")
     return best_c, best_v
-
-
-def local_optimality_check(
-    problem: VariationalProblem,
-    coeffs: np.ndarray,
-    n_probes: int = 64,
-    scale: float = 1e-3,
-) -> bool:
-    """True iff no random coordinate perturbation of size ``scale`` improves by > 1e-9."""
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(718_281_828)))
-    base = problem.value(coeffs)
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(n_probes):
-        j = int(gen.integers(0, c.size))
-        sgn = 1.0 if gen.random() < 0.5 else -1.0
-        probe = c.copy()
-        probe[j] += sgn * scale
-        if problem.value(probe) > base + 1e-9:
-            return False
-    return True

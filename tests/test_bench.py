@@ -219,11 +219,8 @@ def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec
              EstimatorKind.BS_A, EstimatorKind.BS_A2]
     n = CHUNK_PATHS + 1001  # odd remainder chunk
     base = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, n, SEED)
-    single = [base] + [
-        run_estimator(kind, spec50, params, small_grid, n, SEED,
-                      classic_variance=base.variance)
-        for kind in kinds[1:]
-    ]
+    single = [base] + [run_estimator(kind, spec50, params, small_grid, n, SEED)
+                       for kind in kinds[1:]]
     for workers in (1, 2):
         t0 = time.perf_counter()
         table = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0], kinds, params,
@@ -251,8 +248,7 @@ def test_non_finite_chunk_sum_is_a_cell_error(params, small_grid, spec50, monkey
     monkeypatch.setattr(bench.DriftFactory, "build", lambda self, kind, spec: (oversized, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OptimError, match=r"^BS @ K=50.0: non-finite"):
-            run_estimator(EstimatorKind.BS, spec50, params, small_grid, 500, SEED,
-                          classic_variance=1.0)
+            run_estimator(EstimatorKind.BS, spec50, params, small_grid, 500, SEED)
         reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
                             [EstimatorKind.CLASSIC, EstimatorKind.BS], params,
                             small_grid, 500, SEED)
@@ -332,6 +328,29 @@ def test_factory_cache_tells_payoff_kinds_apart(params, kind):
     want, _ = bench.DriftFactory(params, grid).build(kind, european)
     assert np.array_equal(got.h1_dot, want.h1_dot)
     assert np.array_equal(got.h2_dot, want.h2_dot)
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.LDP_SN, EstimatorKind.MDP_SN])
+def test_vega_solve_runs_five_starts(params, kind, monkeypatch):
+    # the seed is the unit vega atom: passing it as ``init`` as well ran the
+    # second start twice, so the five-start solve must return the same bits
+    solves, minimizes = [], []
+    solve, minimize = bench.varopt.solve, bench.varopt.optimize.minimize
+
+    def recorded(problem, **kwargs):
+        result = solve(problem, **kwargs)
+        solves.append((problem, result[0]))
+        return result
+
+    monkeypatch.setattr(bench.varopt, "solve", recorded)
+    monkeypatch.setattr(bench.varopt.optimize, "minimize",
+                        lambda *a, **k: minimizes.append(1) or minimize(*a, **k))
+    spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, 10.0, 1.0)
+    bench.DriftFactory(params, TimeGrid(16, 1.0)).build(kind, spec)
+    ((problem, coeffs),) = solves
+    assert len(minimizes) == 5
+    six_start, _ = solve(problem, init=problem.seed_coeffs, budget=3000)
+    assert np.array_equal(coeffs, six_start)
 
 
 #: What perfbench's tracer patches, by hestonis module, with the arguments it

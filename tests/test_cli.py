@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hestonis.cli import (
     parse_config_file,
 )
 from hestonis.drift_ldp import atom_coefficients
+from hestonis.drift_mdp import large_time_constants
 from hestonis.measure import DriftMode
 from hestonis.model import EQUITY_PARAMS, TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
@@ -147,7 +150,8 @@ def test_explicit_payoff_wins_over_the_preset(capsys):
 
 #: The row of each oracle problem's channels that holds the pipeline's drift,
 #: as the acceptance suite's ``_oracle_case`` also indexes it.
-_ORACLE_ATOM_ROWS = {"ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_price": 1}
+_ORACLE_ATOM_ROWS = {"bs": 1, "ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_price": 1,
+                     "mdp_st": 1, "mdp_lt": 1}
 
 
 @pytest.mark.parametrize("pipeline", sorted(_ORACLES))
@@ -157,10 +161,27 @@ def test_oracle_closed_form_sits_on_the_extra_atoms(pipeline):
     factory = bench.DriftFactory(EQUITY_PARAMS, grid)
     problem = _ORACLES[pipeline](pipeline, {}, spec, spec.weight, factory)
     got = atom_coefficients(problem, problem.extra_index)
-    assert np.array_equal(got, atom_coefficients(problem, _ORACLE_ATOM_ROWS[pipeline]))
+    assert problem.extra_index == _ORACLE_ATOM_ROWS[pipeline]
+    assert got.sum() == len(problem.basis)  # unit weight in every channel
     det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+    if pipeline == "mdp_lt":  # one channel x1; the drift is B_dual x1
+        consts = large_time_constants(EQUITY_PARAMS)
+        (x1,) = problem.expand(got)
+        for h, b in zip((det.h1_dot, det.h2_dot), -consts.bvec / consts.nu):
+            np.testing.assert_allclose(b * x1, h, rtol=1e-14, atol=0.0)
+        return
     h1, h2 = problem.expand(got)
     assert np.array_equal(h1, det.h1_dot) and np.array_equal(h2, det.h2_dot)
+
+
+@pytest.mark.parametrize("kind", ["BS", "MDPst_A", "MDPlt"])
+def test_drift_dump_reports_the_oracle_gap(capsys, kind):
+    code, out, _ = run_cli(capsys, "drift", "--kind", kind, "--strike", "60", "--steps", "32")
+    assert code == 0
+    gaps = {float(line.rsplit(",", 1)[1]) for line in out.strip().splitlines()[1:]}
+    assert len(gaps) == 1
+    gap = gaps.pop()
+    assert np.isfinite(gap) and gap >= -1e-6
 
 
 def test_determinism_byte_identical_csv(tmp_path, capsys):
@@ -196,9 +217,6 @@ def test_drift_dump_large_time_ratio_is_constant(capsys):
     rows = [list(map(float, ln.split(","))) for ln in out.strip().splitlines()[1:]]
     ratios = {round(r[2] / r[1], 9) for r in rows if abs(r[1]) > 1e-14}
     assert len(ratios) == 1
-    from hestonis.drift_mdp import large_time_constants
-    from hestonis.model import EQUITY_PARAMS
-
     consts = large_time_constants(EQUITY_PARAMS)
     assert ratios.pop() == pytest.approx(consts.bvec[1] / consts.bvec[0], abs=1e-9)
 
@@ -225,14 +243,18 @@ def test_bad_preset_rejected(capsys):
 
 
 def test_selftest_negative_control(monkeypatch, capsys):
-    monkeypatch.setenv("HESTONIS_NU_SCALE", "1.6")
+    # a closed-form nu scaled by 1.6 must fail the Gamma Monte Carlo check
+    from hestonis import selftest
+
+    exact = selftest.large_time_constants
+    monkeypatch.setattr(selftest, "large_time_constants",
+                        lambda p: replace(exact(p), nu=1.6 * exact(p).nu))
     code, out, _ = run_cli(capsys, "selftest", "--paths", "600", "--steps", "64")
     assert code == 3
     assert "constants-vs-gamma-mc" in out and "FAIL" in out
 
 
-def test_selftest_quick_mode_passes(monkeypatch, capsys):
-    monkeypatch.delenv("HESTONIS_NU_SCALE", raising=False)
+def test_selftest_quick_mode_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--paths", "1000", "--steps", "64")
     assert code == 0
     assert "FAIL" not in out

@@ -8,13 +8,13 @@ from hestonis.drift_ldp import (
     LdpMode,
     atom_coefficients,
     integrate_psi_controlled,
-    ldp_objective,
     ldp_optimum,
     ldp_paths,
     ldp_problem,
     ldp_schedule,
     psi_from_a,
     riccati_solve,
+    _family_evaluator,
     _fine_knots,
 )
 from hestonis.measure import DriftMode
@@ -100,7 +100,7 @@ def test_control_roundtrip_recovers_inputs(params, grid):
 def test_objective_at_vanishing_control(params, grid, alpha):
     # beta -> 0, A0 = 0: value tends to F at the deterministic path
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 40.0, 1.0)
-    val = ldp_objective(1e-10, 0.0, spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    val = _family_evaluator(spec, alpha, params, grid, LdpMode.SMALL_NOISE)(1e-10, 0.0)[1]
     psi = psi_deterministic(params, grid)
     a = alpha.on_grid(grid)
     y_det = float((a[:-1] * (-0.5 * psi[:-1])).sum() * grid.dt)
@@ -111,7 +111,8 @@ def test_objective_at_vanishing_control(params, grid, alpha):
 def test_out_of_money_optimum_beats_zero_control(params, grid, alpha):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
     _, _, val = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
-    assert val > ldp_objective(1e-8, 0.0, spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    score = _family_evaluator(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    assert val > score(1e-8, 0.0)[1]
 
 
 def test_first_integral_residual_at_optimum(params, grid, alpha):

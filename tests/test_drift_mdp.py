@@ -18,7 +18,6 @@ from hestonis.drift_mdp import (
     mdp_auxiliary,
     mdp_large_time_drift,
     mdp_log_drift,
-    mdp_log_objective,
     mdp_log_problem,
     mdp_price_drift,
     mdp_price_problem,
@@ -58,14 +57,9 @@ class TestAuxiliary:
 
 class TestLogPriceMode:
     def test_zero_control_value_is_centered_payoff(self, params, grid, alpha, spec):
-        val = mdp_log_objective(0.0, 0.0, spec, alpha, params, grid)
+        problem = mdp_log_problem(spec, params, grid, alpha=alpha)
         F, _, _ = _fbar_curve(spec, alpha, params, grid)
-        assert val == pytest.approx(float(F(0.0)), abs=1e-12)
-
-    def test_eta_start_shifts_argument_only(self, params, grid, alpha, spec):
-        v0_ = mdp_log_objective(0.7, 0.0, spec, alpha, params, grid)
-        v1 = mdp_log_objective(0.7, 0.3, spec, alpha, params, grid)
-        assert v1 != pytest.approx(v0_)
+        assert problem.value(np.zeros(problem.n_coeffs)) == float(F(0.0))
 
     def test_channel_loadings(self, params, grid, alpha, spec):
         d = mdp_log_drift(spec, alpha, params, grid)

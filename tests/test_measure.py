@@ -8,16 +8,15 @@ from hestonis.measure import (
     DriftSchedule,
     log_forward_weight,
     log_inverse_weight,
-    zero_drift,
 )
 from hestonis.model import TimeGrid
 from hestonis.payoff import PayoffKind, evaluate, make_payoff
 from hestonis.sim import RngSpec, simulate_p, simulate_q
 
 
-def test_zero_drift_weights_are_exactly_one(params, grid):
-    batch = simulate_q(params, grid, 100, RngSpec(1), zero_drift(grid))
-    logw = log_inverse_weight(batch, zero_drift(grid))
+def test_zero_drift_weights_are_exactly_one(params, grid, zero_drift):
+    batch = simulate_q(params, grid, 100, RngSpec(1), zero_drift)
+    logw = log_inverse_weight(batch, zero_drift)
     assert np.all(logw == 0.0)
 
 
@@ -78,17 +77,17 @@ def test_weight_martingale_under_base_measure(params, grid, mode):
     assert abs(z.mean() - 1.0) <= 4.0 * se
 
 
-def test_reweighted_payoffs_zero_drift_equals_plain(params, grid):
+def test_reweighted_payoffs_zero_drift_equals_plain(params, grid, zero_drift):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
-    batch = simulate_q(params, grid, 300, RngSpec(6), zero_drift(grid))
+    batch = simulate_q(params, grid, 300, RngSpec(6), zero_drift)
     g, product = _reweighted(batch, spec, params)
     assert np.array_equal(g, product)
     assert np.all(batch.log_inv_weight == 0.0)
 
 
-def test_reweighted_flat_path_zero_strike(params, grid):
+def test_reweighted_flat_path_zero_strike(params, grid, zero_drift):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 0.0, 1.0)
-    batch = simulate_q(params, grid, 2, RngSpec(7), zero_drift(grid))
+    batch = simulate_q(params, grid, 2, RngSpec(7), zero_drift)
     batch.x[:] = 0.0
     _, product = _reweighted(batch, spec, params)
     np.testing.assert_allclose(product, 50.0 * np.exp(0.025), atol=1e-10)

@@ -8,7 +8,6 @@ from hestonis.errors import DomainError
 from hestonis.model import (
     EQUITY_PARAMS,
     TimeGrid,
-    check_coefficients,
     heston_coefficients,
     psi_deterministic,
     validate,
@@ -18,7 +17,7 @@ from hestonis.model import (
 def test_validate_benchmark_params_and_feller_flag(params):
     out = validate(params)
     assert out == params
-    assert out.feller_ok  # 2*2*0.09 = 0.36 >= 0.04
+    assert 2.0 * out.kappa * out.theta >= out.xi**2  # Feller: 0.36 >= 0.04
 
 
 def test_validate_is_idempotent(params):
@@ -45,9 +44,8 @@ def test_validate_rejects_bad_params(params, bad):
 
 
 def test_feller_flag_false_when_violated(params):
-    weak = replace(params, xi=1.0)  # 2*kappa*theta = 0.36 < 1
+    weak = replace(params, xi=1.0)  # 2*kappa*theta = 0.36 < 1: not enforced
     assert validate(weak) == weak
-    assert not weak.feller_ok
 
 
 def test_grid_knots(grid):
@@ -82,20 +80,6 @@ def test_psi_rk4_matches_closed_form(params, grid):
         psi_deterministic(params, grid, coeffs) - psi_deterministic(params, grid)
     ).max()
     assert err <= 1e-10
-
-
-def test_check_coefficients(params, grid):
-    probe = np.linspace(1e-4, 1.0, 64)
-    check_coefficients(heston_coefficients(params), probe)
-    bad = heston_coefficients(params)
-    with pytest.raises(DomainError):
-        check_coefficients(
-            replace(bad, diffusion_g=lambda v: -1.0), probe
-        )
-    with pytest.raises(DomainError):
-        check_coefficients(
-            replace(bad, diffusion_g=lambda v: 1.0 / (1.0 + v)), probe
-        )
 
 
 @given(

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hestonis.errors import DomainError
-from hestonis.measure import DriftMode, DriftSchedule, zero_drift
+from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
 from hestonis.sim import (
     RngSpec,
@@ -59,10 +59,10 @@ def test_increment_sanity_bands(params, grid):
     assert np.abs(var_cols - grid.dt).max() <= 5.0 * se_var
 
 
-def test_zero_drift_is_bit_identical_to_base(params, grid):
+def test_zero_drift_is_bit_identical_to_base(params, grid, zero_drift):
     rng = RngSpec(42, 7)
     bp = simulate_p(params, grid, 500, rng)
-    bq = simulate_q(params, grid, 500, rng, zero_drift(grid))
+    bq = simulate_q(params, grid, 500, rng, zero_drift)
     assert np.array_equal(bp.x, bq.x)
     assert np.array_equal(bp.v, bq.v)
     assert np.array_equal(bp.dw, bq.dw)

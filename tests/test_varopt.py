@@ -5,9 +5,7 @@ from hestonis.errors import DomainError, OptimError
 from hestonis.varopt import (
     NEG_SENTINEL,
     VariationalProblem,
-    embed_profiles,
     hat_basis,
-    local_optimality_check,
     solve,
 )
 
@@ -22,7 +20,7 @@ def _quadratic_problem(grid, c=1.7, m=6):
     basis = hat_basis(grid, m)
     seed = np.zeros(m)
     seed[0] = 1.0
-    return VariationalProblem(objective, [basis], grid, seed_coeffs=[seed])
+    return VariationalProblem(objective, [basis], grid, seed_coeffs=seed)
 
 
 def test_constant_payoff_optimum_is_zero_path(coarse_grid):
@@ -65,37 +63,6 @@ def test_hats_form_partition_of_unity(coarse_grid):
     np.testing.assert_allclose(hats.sum(axis=0), 1.0, atol=1e-12)
 
 
-def test_embed_recovers_atom_profiles(coarse_grid):
-    hats = hat_basis(coarse_grid, 8)
-    problem = VariationalProblem(lambda x: 0.0, [hats], coarse_grid)
-    target = hats.T @ np.arange(8.0)
-    coeffs = embed_profiles(problem, [target])
-    np.testing.assert_allclose(problem.expand(coeffs)[0], target, atol=1e-10)
-
-
-class TestLocalOptimality:
-    def _problem(self, grid):
-        dt = grid.dt
-        hats = hat_basis(grid, 5)
-        target = hats.T @ np.array([0.3, -0.2, 0.5, 0.1, -0.4])
-
-        def objective(xdot):
-            return -0.5 * float(((xdot - target)[:-1] ** 2).sum() * dt)
-
-        return VariationalProblem(objective, [hats], grid), np.array(
-            [0.3, -0.2, 0.5, 0.1, -0.4]
-        )
-
-    def test_true_at_strict_maximum(self, coarse_grid):
-        problem, opt = self._problem(coarse_grid)
-        assert local_optimality_check(problem, opt, n_probes=64, scale=1e-3)
-
-    def test_false_when_displaced(self, coarse_grid):
-        problem, opt = self._problem(coarse_grid)
-        displaced = opt + 1e-2  # ten probe scales away
-        assert not local_optimality_check(problem, displaced, n_probes=64, scale=1e-3)
-
-
 def test_refinement_monotonicity(coarse_grid):
     # nested hat grids: seeding the finer solve with the coarse optimum keeps
     # the objective from dropping by more than round-off
@@ -112,9 +79,10 @@ def test_refinement_monotonicity(coarse_grid):
         problem = VariationalProblem(objective, [hat_basis(coarse_grid, m)], coarse_grid)
         init = None
         if coarse_coeffs is not None:
-            init = embed_profiles(
-                problem, [hat_basis(coarse_grid, 5).T @ coarse_coeffs]
-            )
+            # the 5 hat nodes are nodes of the 9 hats: the coarse profile's
+            # values at the fine nodes are its exact fine coefficients
+            nodes = np.linspace(0.0, coarse_grid.t_end, m)
+            init = np.interp(nodes, nodes[::2], coarse_coeffs)
         coeffs, value = solve(problem, init=init, budget=4000)
         values[m] = value
         if m == 5:
