@@ -85,37 +85,44 @@ class Table(enum.Enum):
 
 
 class KindEntry(NamedTuple):
-    pipeline: str | None  # drift pipeline; None for a kind without drift
-    mode: DriftMode | None  # how the pipeline's drift is applied
-    tables: frozenset  # the Tables that offer the kind
+    pipelines: dict[Table, str | None]  # each Table that offers the kind -> drift pipeline
+    mode: DriftMode | None  # how the drift is applied; None (and no pipeline) without drift
 
 
-_ALL, _CALL = frozenset(Table), frozenset({Table.CALL})
-_HESTON = _ALL - {Table.CONSTANT_VOL}
+_ALL, _HESTON, _CALL = tuple(Table), (Table.CALL, Table.VARIANCE), (Table.CALL,)
 _DET, _ADA = DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE
 
+
+def _on(tables, pipeline: str | None = None) -> dict:
+    return dict.fromkeys(tables, pipeline)
+
+
+#: On call payoffs the price-mode moderate-deviations drift is the
+#: deterministic-volatility root at sqrt(psi): MDPsn is BS there.
+_MDP_SN = {Table.CALL: "bs", Table.VARIANCE: "mdp_price"}
+
 #: The one kind registry. The det and adaptive kinds of a pipeline share its
-#: cached solve at a strike (BS/BS_A with MDPsn/MDPsn_A on call payoffs, the
-#: LDP pairs, MDPst/MDPst_A, every variance-payoff pipeline) except where the
-#: solve takes the mode (MDPsnLog, BS_A2).
+#: cached solve at a strike (BS/BS_A, the LDP pairs, MDPst/MDPst_A, every
+#: variance-payoff pipeline) except where the solve takes the mode (MDPsnLog,
+#: BS_A2).
 KINDS = {
-    EstimatorKind.CLASSIC: KindEntry(None, None, _ALL),
-    EstimatorKind.ANTITHETIC: KindEntry(None, None, _ALL),
-    EstimatorKind.CONTROL_GEOMETRIC: KindEntry(None, None, _ALL - _HESTON),
-    EstimatorKind.BS: KindEntry("bs", _DET, _ALL),
-    EstimatorKind.BS_A: KindEntry("bs", _ADA, _HESTON),
-    EstimatorKind.BS_A2: KindEntry("bs_a2", DriftMode.PER_STEP_ADAPTIVE, _CALL),
-    EstimatorKind.LDP_SN: KindEntry("ldp_sn", _DET, _HESTON),
-    EstimatorKind.LDP_SN_A: KindEntry("ldp_sn", _ADA, _HESTON),
-    EstimatorKind.LDP_ST: KindEntry("ldp_st", _DET, _CALL),
-    EstimatorKind.LDP_ST_A: KindEntry("ldp_st", _ADA, _CALL),
-    EstimatorKind.MDP_SN_LOG: KindEntry("mdp_log", _DET, _CALL),
-    EstimatorKind.MDP_SN_LOG_A: KindEntry("mdp_log", _ADA, _CALL),
-    EstimatorKind.MDP_SN: KindEntry("mdp_price", _DET, _HESTON),
-    EstimatorKind.MDP_SN_A: KindEntry("mdp_price", _ADA, _HESTON),
-    EstimatorKind.MDP_ST: KindEntry("mdp_st", _DET, _CALL),
-    EstimatorKind.MDP_ST_A: KindEntry("mdp_st", _ADA, _CALL),
-    EstimatorKind.MDP_LT: KindEntry("mdp_lt", _DET, _CALL),
+    EstimatorKind.CLASSIC: KindEntry(_on(_ALL), None),
+    EstimatorKind.ANTITHETIC: KindEntry(_on(_ALL), None),
+    EstimatorKind.CONTROL_GEOMETRIC: KindEntry(_on((Table.CONSTANT_VOL,)), None),
+    EstimatorKind.BS: KindEntry(_on(_ALL, "bs"), _DET),
+    EstimatorKind.BS_A: KindEntry(_on(_HESTON, "bs"), _ADA),
+    EstimatorKind.BS_A2: KindEntry(_on(_CALL, "bs_a2"), DriftMode.PER_STEP_ADAPTIVE),
+    EstimatorKind.LDP_SN: KindEntry(_on(_HESTON, "ldp_sn"), _DET),
+    EstimatorKind.LDP_SN_A: KindEntry(_on(_HESTON, "ldp_sn"), _ADA),
+    EstimatorKind.LDP_ST: KindEntry(_on(_CALL, "ldp_st"), _DET),
+    EstimatorKind.LDP_ST_A: KindEntry(_on(_CALL, "ldp_st"), _ADA),
+    EstimatorKind.MDP_SN_LOG: KindEntry(_on(_CALL, "mdp_log"), _DET),
+    EstimatorKind.MDP_SN_LOG_A: KindEntry(_on(_CALL, "mdp_log"), _ADA),
+    EstimatorKind.MDP_SN: KindEntry(_MDP_SN, _DET),
+    EstimatorKind.MDP_SN_A: KindEntry(_MDP_SN, _ADA),
+    EstimatorKind.MDP_ST: KindEntry(_on(_CALL, "mdp_st"), _DET),
+    EstimatorKind.MDP_ST_A: KindEntry(_on(_CALL, "mdp_st"), _ADA),
+    EstimatorKind.MDP_LT: KindEntry(_on(_CALL, "mdp_lt"), _DET),
 }
 
 LDP_MODES = {"ldp_sn": LdpMode.SMALL_NOISE, "ldp_st": LdpMode.SMALL_TIME}
@@ -191,19 +198,19 @@ class DriftFactory:
             return Table.VARIANCE
         return Table.CALL
 
-    def entry(self, kind: EstimatorKind, spec: PayoffSpec) -> KindEntry:
-        """The kind's registry entry; DomainError when this table does not offer it."""
+    def route(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[str | None, DriftMode | None]:
+        """The kind's (pipeline, mode) here; DomainError when this table does not offer it."""
         table = self.table(spec)
         entry = KINDS[kind]
-        if table not in entry.tables:
+        if table not in entry.pipelines:
             raise DomainError(f"{kind.value} is not offered {table.value}")
-        return entry
+        return entry.pipelines[table], entry.mode
 
     def build(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[DriftSchedule, float]:
-        entry = self.entry(kind, spec)
-        if entry.pipeline is None:
+        pipeline, mode = self.route(kind, spec)
+        if pipeline is None:
             raise DomainError(f"{kind.value} carries no drift")
-        return self.build_pipeline(entry.pipeline, spec, entry.mode)
+        return self.build_pipeline(pipeline, spec, mode)
 
     def build_pipeline(
         self, pipeline: str, spec: PayoffSpec, mode: DriftMode
@@ -216,15 +223,14 @@ class DriftFactory:
 
     def _frozen_vol(self, pipeline, spec, mode):
         """The deterministic-volatility root (``bs_beta``) and its embedding
-        beta* alpha sigma on the channel loading (``bs_drift``), for BS, MDPsn
-        and MDPst on call payoffs and BS under constant vol.
+        beta* alpha sigma on the channel loading (``bs_drift``), for BS (and
+        so MDPsn) and MDPst on call payoffs and BS under constant vol.
 
-        They differ only in the frozen sigma path (sqrt(psi) for BS and MDPsn,
-        which therefore share one cached root, sqrt(v0) for MDPst, the
-        constant sigma), the payoff the root is solved for (under constant vol
-        the geometric call at the same strike, a surrogate for the arithmetic
-        one) and the loading ((rho, rho_bar), or (1, 0) on constant vol's one
-        Brownian channel).
+        They differ only in the frozen sigma path (sqrt(psi) for BS, sqrt(v0)
+        for MDPst, the constant sigma), the payoff the root is solved for
+        (under constant vol the geometric call at the same strike, a surrogate
+        for the arithmetic one) and the loading ((rho, rho_bar), or (1, 0) on
+        constant vol's one Brownian channel).
         """
         p, g = self.params, self.grid
         rho = p.rho
@@ -329,8 +335,6 @@ class DriftFactory:
 
         def objective(xdot):
             val = payoff_mod.log_vol_indicator(-0.5 * psi + sqp * xdot, psi, p, spec.strike, g)
-            if not np.isfinite(val):
-                return varopt.NEG_SENTINEL
             return float(val) - 0.5 * float((xdot[:-1] ** 2).sum() * g.dt)
 
         problem = varopt.reduced_basis_problem(
@@ -346,8 +350,8 @@ class DriftFactory:
         ("bs", Table.CONSTANT_VOL): _frozen_vol, ("bs_a2", Table.CALL): _solved,
         ("ldp_sn", Table.CALL): _ldp, ("ldp_sn", Table.VARIANCE): _varswap,
         ("ldp_st", Table.CALL): _ldp, ("mdp_log", Table.CALL): _solved,
-        ("mdp_price", Table.CALL): _frozen_vol, ("mdp_price", Table.VARIANCE): _varswap,
-        ("mdp_st", Table.CALL): _frozen_vol, ("mdp_lt", Table.CALL): _solved,
+        ("mdp_price", Table.VARIANCE): _varswap, ("mdp_st", Table.CALL): _frozen_vol,
+        ("mdp_lt", Table.CALL): _solved,
     }
 
 
@@ -531,27 +535,32 @@ class _ChunkGroup:
             self.mirrored = True
 
 
-@dataclass
+@dataclass(eq=False)
 class _TableCell:
     """One (kind, strike) cell of a table, accumulated over chunk groups."""
 
     kind: EstimatorKind
     spec: PayoffSpec
-    drift: tuple[DriftSchedule | None, float] | None = None  # (schedule, build s) once built
+    drift: tuple[DriftSchedule | None, float] = (None, 0.0)  # (schedule, build s)
     chunks: list[_Moments] = field(default_factory=list)
     wall: float = 0.0
     error: OptimError | DomainError | None = None
 
 
-def _build_drift(
-    kind: EstimatorKind, spec: PayoffSpec, factory: DriftFactory
-) -> tuple[DriftSchedule | None, float]:
-    try:
-        if factory.entry(kind, spec).pipeline is None:
-            return None, 0.0
-        return factory.build(kind, spec)
-    except (OptimError, DomainError) as e:
-        raise type(e)(f"{_label(kind, spec.strike)}: {e}") from e
+def _estimator(cell: _TableCell):
+    """The estimator a cell runs, as a key: equal keys give equal moments bit
+    for bit. A kind without drift is itself; a fixed schedule is its mode and
+    channel bytes, or Classic when both channels are zero (m = 0 leaves the
+    increments unchanged and the log-weight at exactly 0); a per-step
+    schedule is never shared."""
+    drift = cell.drift[0]
+    if drift is None:
+        return cell.spec.strike, cell.kind
+    if drift.mode is DriftMode.PER_STEP_ADAPTIVE:
+        return cell
+    if not (drift.h1_dot.any() or drift.h2_dot.any()):
+        return cell.spec.strike, EstimatorKind.CLASSIC
+    return cell.spec.strike, drift.mode, drift.h1_dot.tobytes(), drift.h2_dot.tobytes()
 
 
 def _report(
@@ -623,9 +632,7 @@ def run_estimator(
     validate(params)
     factory = factory or DriftFactory(params, grid)
     if shared is None:
-        cells = [_TableCell(kind, spec, drift=_build_drift(kind, spec, factory))]
-        if kind is not EstimatorKind.CLASSIC:
-            cells.append(_TableCell(EstimatorKind.CLASSIC, spec))
+        cells = [_TableCell(kind, spec), _TableCell(EstimatorKind.CLASSIC, spec)]
         _run_cells(cells, factory, n_paths, seed, workers)
         if cells[0].error is not None:
             raise cells[0].error
@@ -633,8 +640,6 @@ def run_estimator(
         return _report(cells[0], factory, n_paths, seed, classic_variance)
 
     group, cell = shared
-    if cell.drift is None:
-        cell.drift = _build_drift(kind, spec, factory)
     drift = cell.drift[0]
     t0 = time.perf_counter()
     if kind is EstimatorKind.ANTITHETIC:
@@ -648,52 +653,54 @@ def run_estimator(
     return None
 
 
-def _run_group(
-    first: int,
-    sizes: list[int],
-    cells: list[_TableCell],
-    factory: DriftFactory,
-    n_paths: int,
-    seed: int,
-    pool: ThreadPoolExecutor | None,
-) -> None:
-    """Draw the group's increments once and run every live cell on them."""
-    grid = factory.grid
-    t0 = time.perf_counter()
-    group = _ChunkGroup(first, sizes, _map_chunks(
-        lambda j: sim.normal_increments(
-            sim.RngSpec(seed, first + j), sizes[j], grid.n_steps, grid.dt
-        ),
-        range(len(sizes)), pool,
-    ), pool)
-    draw_s = time.perf_counter() - t0
-    live = [c for c in cells if c.error is None]
-    for cell in live:
-        cell.wall += draw_s / len(live)
-        try:
-            run_estimator(
-                cell.kind, cell.spec, factory.params, grid, n_paths, seed,
-                factory=factory, shared=(group, cell),
-            )
-        except (OptimError, DomainError) as e:
-            if cell.kind is EstimatorKind.CLASSIC:
-                raise
-            cell.error = e
-
-
 def _run_cells(
     cells: list[_TableCell], factory: DriftFactory, n_paths: int, seed: int, workers: int
 ) -> None:
-    """Run every cell on the same chunk streams: walk the chunks in groups of
-    ``workers``, drawing a group's increments once and running every cell on
-    them before drawing the next. A failed cell keeps its error and stops."""
+    """Build every cell's drift, then run each distinct estimator
+    (``_estimator``) once on the same chunk streams: walk the chunks in groups
+    of ``workers``, drawing a group's increments once and running every
+    estimator on them before drawing the next. A later cell of the same
+    estimator takes the first one's moments, wall time and error. A failed
+    cell keeps its error and stops."""
+    runs, aliases = {}, []
+    for cell in cells:
+        try:
+            if factory.route(cell.kind, cell.spec)[0] is not None:
+                cell.drift = factory.build(cell.kind, cell.spec)
+        except (OptimError, DomainError) as e:
+            cell.error = type(e)(f"{_label(cell.kind, cell.spec.strike)}: {e}")
+            continue
+        rep = runs.setdefault(_estimator(cell), cell)
+        if rep is not cell:
+            aliases.append((cell, rep))
     # Antithetic cells go last: they replace the group's blocks by mirrored pairs
-    cells = sorted(cells, key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
-    sizes = _chunk_sizes(n_paths)
-    step = max(workers, 1)
+    live = sorted(runs.values(), key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
+    sizes, grid, step = _chunk_sizes(n_paths), factory.grid, max(workers, 1)
     with _thread_pool(workers) as pool:
         for first in range(0, len(sizes), step):
-            _run_group(first, sizes[first:first + step], cells, factory, n_paths, seed, pool)
+            t0 = time.perf_counter()
+            group = _ChunkGroup(first, sizes[first:first + step], _map_chunks(
+                lambda j: sim.normal_increments(
+                    sim.RngSpec(seed, j), sizes[j], grid.n_steps, grid.dt
+                ),
+                range(first, min(first + step, len(sizes))), pool,
+            ), pool)
+            draw_s = time.perf_counter() - t0
+            live = [c for c in live if c.error is None]
+            for cell in live:
+                cell.wall += draw_s / len(live)
+                try:
+                    run_estimator(cell.kind, cell.spec, factory.params, grid, n_paths, seed,
+                                  factory=factory, shared=(group, cell))
+                except (OptimError, DomainError) as e:
+                    if cell.kind is EstimatorKind.CLASSIC:
+                        raise
+                    cell.error = e
+    for cell, rep in aliases:
+        cell.chunks, cell.wall = rep.chunks, rep.wall
+        if rep.error is not None:
+            reason = str(rep.error).removeprefix(f"{_label(rep.kind, rep.spec.strike)}: ")
+            cell.error = type(rep.error)(f"{_label(cell.kind, cell.spec.strike)}: {reason}")
 
 
 def _table(
@@ -739,10 +746,13 @@ def run_table(
 
     Every cell runs on the same chunk streams, so the table draws each chunk's
     increments once: it walks the chunks in groups of ``workers`` and runs
-    every cell on a group before drawing the next. A cell's ``wall_time_s`` is
-    the elapsed time of its own chunk work plus an equal share of each group's
-    draw time. Cell failures are reported inline (nan metrics, error message
-    "kind @ K=strike: reason" kept) without aborting the table.
+    every cell on a group before drawing the next. Cells that are the same
+    estimator (an identical drift schedule, or a zero one, which is Classic)
+    run once. A run's ``wall_time_s`` is the elapsed time of its own chunk
+    work plus an equal share of each group's draw time, and every cell of
+    that estimator reports it. Cell failures are reported inline (nan
+    metrics, error message "kind @ K=strike: reason" kept) without aborting
+    the table.
     """
     return _table(payoff_kind, strikes, kinds, DriftFactory(params, grid),
                   n_paths, seed, workers)

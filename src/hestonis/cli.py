@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ PRESETS = {
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; parse/format round trips are lossless."""
+    """Flat run configuration; each field's annotation is its config key's type."""
 
     kappa: float = EQUITY_PARAMS.kappa
     theta: float = EQUITY_PARAMS.theta
@@ -61,8 +61,8 @@ class RunConfig:
     n_paths: int = 100_000
     seed: int = 20240
     payoff: str = "geometric_asian_call"
-    strikes: list = field(default_factory=lambda: [50.0])
-    kinds: list = field(default_factory=lambda: ["Classic"])
+    strikes: list[float] = field(default_factory=lambda: [50.0])
+    kinds: list[str] = field(default_factory=lambda: ["Classic"])
     out: str = ""
     preset: str = ""
     workers: int = 1
@@ -85,12 +85,12 @@ class RunConfig:
             raise DomainError(f"invalid value for key 'payoff': {self.payoff!r}")
 
 
-_FLOAT_KEYS = {"kappa", "theta", "xi", "rho", "v0", "s0", "r", "t_end", "sigma_const"}
-_INT_KEYS = {"n_steps", "n_paths", "seed", "workers"}
-_BOOL_KEYS = {"stable_output"}
-_LIST_FLOAT_KEYS = {"strikes"}
-_LIST_STR_KEYS = {"kinds"}
-_STR_KEYS = {"payoff", "out", "preset"}
+_PARSERS = {"float": float, "int": int, "str": str,
+            "bool": lambda val: val.lower() in ("1", "true", "yes", "on"),
+            "list[float]": lambda val: [float(x) for x in val.split(",") if x.strip()],
+            "list[str]": lambda val: [x.strip() for x in val.split(",") if x.strip()]}
+#: config key -> parser of its value, by the type RunConfig declares for it
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -109,22 +109,12 @@ def parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, val: str, where: str = "config"):
+    if key not in _KEY_PARSERS:
+        raise DomainError(f"{where}: unknown config key '{key}'")
     try:
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _BOOL_KEYS:
-            return val.lower() in ("1", "true", "yes", "on")
-        if key in _LIST_FLOAT_KEYS:
-            return [float(x) for x in val.split(",") if x.strip()]
-        if key in _LIST_STR_KEYS:
-            return [x.strip() for x in val.split(",") if x.strip()]
-        if key in _STR_KEYS:
-            return val
+        return _KEY_PARSERS[key](val)
     except ValueError as e:
         raise DomainError(f"{where}: invalid value for key '{key}': {val!r} ({e})")
-    raise DomainError(f"{where}: unknown config key '{key}'")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -172,11 +162,18 @@ def _emit(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
+def _table_sigma(cfg: RunConfig) -> float | None:
+    """The constant volatility of the config's table, or None for a Heston
+    table: the payoff alone picks the constant-vol table."""
+    return cfg.sigma_const if cfg.payoff_kind() is PayoffKind.ARITHMETIC_ASIAN_CALL else None
+
+
 def cmd_price(cfg: RunConfig) -> int:
     kinds = [EstimatorKind.from_name(k) for k in cfg.kinds]
-    if cfg.payoff_kind() is PayoffKind.ARITHMETIC_ASIAN_CALL:
+    sigma = _table_sigma(cfg)
+    if sigma is not None:
         reports = bench.run_appendix_table(
-            cfg.strikes, kinds, cfg.params(), cfg.sigma_const, cfg.grid(),
+            cfg.strikes, kinds, cfg.params(), sigma, cfg.grid(),
             cfg.n_paths, cfg.seed, workers=cfg.workers,
         )
     else:
@@ -230,8 +227,8 @@ def _large_time_oracle(pipeline, cols, spec, alpha, factory):
 #: paths to the dump and returns the oracle problem, whose extra atom holds the
 #: pipeline's closed-form drift.
 _ORACLES = {"bs": _mdp_price_oracle, "ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
-            "mdp_log": _mdp_log_oracle, "mdp_price": _mdp_price_oracle,
-            "mdp_st": _mdp_price_oracle, "mdp_lt": _large_time_oracle}
+            "mdp_log": _mdp_log_oracle, "mdp_st": _mdp_price_oracle,
+            "mdp_lt": _large_time_oracle}
 
 
 def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):
@@ -248,13 +245,13 @@ def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):
 
 def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     kind = EstimatorKind.from_name(kind_name)
-    params, grid = cfg.params(), cfg.grid()
+    params, grid, sigma = cfg.params(), cfg.grid(), _table_sigma(cfg)
     spec = make_payoff(cfg.payoff_kind(), strike, grid.t_end)
-    factory = bench.DriftFactory(params, grid)
+    factory = bench.DriftFactory(params, grid, sigma)
     drift, _ = factory.build(kind, spec)
     if drift.mode is DriftMode.PER_STEP_ADAPTIVE:
         raise OptimError(f"{kind_name}: per-step schedules have no static dump")
-    psi = psi_deterministic(params, grid)
+    psi = psi_deterministic(params, grid) if sigma is None else np.full(grid.knots.size, sigma**2)
     cols = {
         "t": grid.knots,
         "h1_dot": drift.h1_dot,
@@ -262,7 +259,7 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
         "psi": psi,
     }
     gap = float("nan")
-    pipeline = bench.KINDS[kind].pipeline
+    pipeline, _ = factory.route(kind, spec)
     if factory.table(spec) is bench.Table.CALL and pipeline in _ORACLES:
         gap, _ = oracle_gap(pipeline, spec, factory, 2500, cols)
     header = ",".join(list(cols.keys()) + ["oracle_gap"])

@@ -26,7 +26,7 @@ from .errors import OptimError
 from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid
 from .payoff import PayoffSpec, WeightPath, log_forward
-from .varopt import NEG_SENTINEL, VariationalProblem, reduced_basis_problem
+from .varopt import VariationalProblem, reduced_basis_problem
 
 BETA_BRACKET_HI = 1.0e6
 BETA_BRACKET_LO = 1.0 + 1.0e-12
@@ -256,8 +256,6 @@ def bs_problem(
     def objective(xdot):
         y = float((asig[:-1] * xdot[:-1]).sum() * dt)
         val = F(y)
-        if not np.isfinite(val):
-            return NEG_SENTINEL
         return val - 0.5 * float((xdot[:-1] ** 2).sum() * dt)
 
     return reduced_basis_problem(objective, grid, [[asig]], n_hats=9 if rich_basis else 0,

@@ -395,8 +395,6 @@ def ldp_problem(
         drift_term = -0.5 * psi if mode is LdpMode.SMALL_NOISE else 0.0
         phi_dot = drift_term + sqp * (rho * xdot1 + rho_bar * xdot2)
         val = payoff_log(phi_dot, psi)
-        if not np.isfinite(val):
-            return NEG_SENTINEL
         pen = 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
         return val - pen
 

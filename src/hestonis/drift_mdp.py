@@ -29,7 +29,7 @@ from .errors import DomainError, OptimError
 from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid, psi_deterministic
 from .payoff import PayoffSpec, WeightPath
-from .varopt import NEG_SENTINEL, VariationalProblem, reduced_basis_problem
+from .varopt import VariationalProblem, reduced_basis_problem
 from .drift_bs import bs_beta, bs_drift, bs_scale, call_curve
 
 
@@ -253,8 +253,6 @@ def mdp_log_problem(
         eta = eb * _cumtrapz(enb * g_psi * xdot1, dt)
         phi_dot = sqp * (rho * xdot1 + rho_bar * xdot2) - 0.5 * eta
         val = payoff_log(phi_dot, psi, eta)
-        if not np.isfinite(val):
-            return NEG_SENTINEL
         pen = 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
         return val - pen
 
@@ -283,8 +281,6 @@ def mdp_price_problem(
     def objective(xdot1, xdot2):
         phi_dot = sqp * (rho * xdot1 + rho_bar * xdot2)
         val = F(float((a[:-1] * phi_dot[:-1]).sum() * dt))
-        if not np.isfinite(val):
-            return NEG_SENTINEL
         return float(val) - 0.5 * float(((xdot1[:-1] ** 2) + (xdot2[:-1] ** 2)).sum() * dt)
 
     own = [a * sqp]
@@ -310,8 +306,6 @@ def large_time_problem(
 
     def objective(xdot1):
         val = F(float((a[:-1] * xdot1[:-1]).sum() * dt))
-        if not np.isfinite(val):
-            return NEG_SENTINEL
         return float(val) - 0.25 * nu * float((xdot1[:-1] ** 2).sum() * dt)
 
     return reduced_basis_problem(objective, grid, [[a]], extra_atoms, label="mdp_large_time")

@@ -30,8 +30,9 @@ class VariationalProblem:
     """Objective over channel derivative paths, with a reduced basis per channel.
 
     ``objective`` receives one array per channel (values on the grid knots) and
-    returns the full objective value, penalty included; NEG_SENTINEL marks
-    inadmissible points. ``basis`` holds one (m_ch, n_knots) matrix per channel.
+    returns the full objective value, penalty included; NEG_SENTINEL or any
+    non-finite value marks an inadmissible point. ``basis`` holds one
+    (m_ch, n_knots) matrix per channel.
     ``seed_coeffs`` is the coefficient vector the deterministic multi-starts
     scale (unit weight on the first basis row when None); by convention the
     first rows of each basis are the problem-aware atoms, so unit vectors

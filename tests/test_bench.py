@@ -1,9 +1,11 @@
+import dataclasses
 import importlib
 import inspect
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hestonis import bench
 from hestonis.bench import (
@@ -206,12 +208,18 @@ def test_const_vol_table_reports_heston_only_kinds_inline(params, small_grid):
 
 
 def test_kind_registry_has_a_builder_for_every_offered_drift():
+    routes = set()
     for kind, entry in bench.KINDS.items():
-        assert (entry.pipeline is None) == (entry.mode is None), kind
-        for table in entry.tables:
-            if entry.pipeline is not None:
-                assert (entry.pipeline, table) in bench.DriftFactory._PIPELINES, kind
+        assert entry.pipelines, kind
+        for table, pipeline in entry.pipelines.items():
+            assert (pipeline is None) == (entry.mode is None), kind
+            if pipeline is not None:
+                routes.add((pipeline, table))
+    assert routes == set(bench.DriftFactory._PIPELINES)  # every builder has a kind
     assert set(bench.KINDS) == set(EstimatorKind)
+    for kind in (EstimatorKind.MDP_SN, EstimatorKind.MDP_SN_A):
+        assert bench.KINDS[kind].pipelines == {bench.Table.CALL: "bs",
+                                               bench.Table.VARIANCE: "mdp_price"}
 
 
 def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec50):
@@ -299,6 +307,113 @@ def test_one_root_per_strike_serves_bs_and_mdp_price(params, monkeypatch):
                         params, TimeGrid(16, 1.0), 500, SEED)
     assert all(r.error == "" for r in reports)
     assert calls == {"bs_beta": 2, "mdp_price_drift": 0}
+
+
+GRID16 = TimeGrid(16, 1.0)
+
+
+def _bits(m):
+    return [repr(v) for v in dataclasses.astuple(m)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300), strike=st.floats(20.0, 90.0),
+       payoff=st.sampled_from([PayoffKind.GEOMETRIC_ASIAN_CALL, PayoffKind.EUROPEAN_CALL,
+                               PayoffKind.VOL_INDICATOR_SWAP]),
+       mode=st.sampled_from([DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE]))
+@settings(max_examples=30, deadline=None)
+def test_zero_drift_is_classic_bit_for_bit(params, seed, n, strike, payoff, mode):
+    zero = DriftSchedule(mode, np.zeros(GRID16.n_steps + 1), np.zeros(GRID16.n_steps + 1))
+    rng = sim.RngSpec(seed, 0)
+    inc = sim.normal_increments(rng, n, GRID16.n_steps, GRID16.dt)
+    q = sim.simulate_q(params, GRID16, n, rng, zero, increments=inc)
+    assert np.array_equal(q.log_inv_weight, np.zeros(n))
+    assert np.array_equal(q.x, sim.simulate_p(params, GRID16, n, rng, increments=inc).x)
+    const_x, const_lw = bench._const_vol_paths(0.25, GRID16, zero, inc[0])
+    assert np.array_equal(const_lw, np.zeros(n))
+    assert np.array_equal(const_x, bench._const_vol_paths(0.25, GRID16, None, inc[0])[0])
+    for sigma, payoff_kind in ((None, payoff), (0.25, PayoffKind.ARITHMETIC_ASIAN_CALL)):
+        factory = bench.DriftFactory(params, GRID16, sigma)
+        spec = make_payoff(payoff_kind, strike, 1.0)
+        classic, drifted = (bench._chunk_moments(kind, spec, factory, drift, n, rng, inc)
+                            for kind, drift in ((EstimatorKind.CLASSIC, None),
+                                                (EstimatorKind.BS, zero)))
+        assert _bits(classic) == _bits(drifted)
+
+
+#: Kinds with cheap drift builds; BS/MDPsn and BS_A/MDPsn_A are one estimator each.
+SHARED_KINDS = FROZEN_VOL_KINDS + [EstimatorKind.MDP_ST, EstimatorKind.ANTITHETIC]
+
+
+def _stable_rows(reports):
+    return {(r.kind, r.strike): (reports_to_csv([r], stable_output=True), r.error)
+            for r in reports}
+
+
+@pytest.fixture(scope="module")
+def rows_alone(params):
+    """Each shared kind's rows from a table that lists it alone."""
+    rows = {}
+    for kind in SHARED_KINDS:
+        rows.update(_stable_rows(run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0],
+                                           [kind], params, GRID16, 3000, SEED)))
+    return rows
+
+
+@given(kinds=st.lists(st.sampled_from(SHARED_KINDS), min_size=1, unique=True))
+@settings(max_examples=12, deadline=None)
+def test_rows_do_not_depend_on_the_kinds_beside_them(params, rows_alone, kinds):
+    rows = _stable_rows(run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [65.0, 50.0], kinds,
+                                  params, GRID16, 3000, SEED))
+    assert len(rows) == 2 * len(kinds)
+    for key, row in rows.items():
+        assert row == rows_alone[key], (key, kinds)
+
+
+@pytest.mark.parametrize("n", [CHUNK_PATHS - 1, CHUNK_PATHS + 1])
+def test_rows_with_shared_estimators_do_not_depend_on_workers(params, n):
+    tables = [run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], SHARED_KINDS, params,
+                        GRID16, n, SEED, workers=workers) for workers in (1, 2)]
+    assert _stable_rows(tables[0]) == _stable_rows(tables[1])
+    for table in tables:
+        wall = {(r.kind, r.strike): r.wall_time_s for r in table}
+        for strike in (50.0, 65.0):  # a shared estimator reports its one run's time
+            assert wall["MDPsn", strike] == wall["BS", strike] > 0.0
+            assert wall["MDPsn_A", strike] == wall["BS_A", strike] > 0.0
+
+
+def test_cells_with_one_estimator_simulate_once(params, monkeypatch):
+    drifted, runs = [], []
+    simulate_q, run_one = sim.simulate_q, bench.run_estimator
+    monkeypatch.setattr(sim, "simulate_q",
+                        lambda *a, **k: drifted.append(a[4]) or simulate_q(*a, **k))
+    monkeypatch.setattr(bench, "run_estimator",
+                        lambda *a, **k: runs.append(a[0].value) or run_one(*a, **k))
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
+                        params, GRID16, N_SMALL, SEED)
+    assert all(r.error == "" for r in reports)
+    assert len(drifted) == 4  # BS and BS_A at each strike; MDPsn(_A) is BS(_A) there
+    assert sorted(runs) == ["BS", "BS", "BS_A", "BS_A", "Classic", "Classic"]
+    drifted.clear()
+    reports = run_table(PayoffKind.VOL_INDICATOR_SWAP, [10.0], FROZEN_VOL_KINDS[:3],
+                        params, GRID16, N_SMALL, SEED)
+    assert drifted == []  # the variance-payoff BS solve is zero at K=10: Classic
+    rows = {r.kind: _rows([r])[0][1:] for r in reports}
+    assert rows["BS"] == rows["BS_A"] == rows["Classic"]
+
+
+def test_a_shared_estimator_that_fails_names_each_cell(params, monkeypatch):
+    h = np.full(GRID16.n_steps + 1, 500.0)  # drives S to overflow, weights to 0
+    oversized = DriftSchedule(DriftMode.DETERMINISTIC, h, h.copy(), provenance="test")
+    monkeypatch.setattr(bench.DriftFactory, "build", lambda self, kind, spec: (oversized, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
+                            [EstimatorKind.CLASSIC, EstimatorKind.BS, EstimatorKind.MDP_SN],
+                            params, GRID16, 500, SEED)
+    by_kind = {r.kind: r for r in reports}
+    reason = by_kind["BS"].error.removeprefix("BS @ K=50.0: ")
+    assert reason.startswith("non-finite")
+    assert by_kind["MDPsn"].error == f"MDPsn @ K=50.0: {reason}"
+    assert np.isnan(by_kind["MDPsn"].price)
 
 
 @pytest.mark.parametrize("kind,mode", [(EstimatorKind.MDP_ST, DriftMode.DETERMINISTIC),

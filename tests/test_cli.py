@@ -150,8 +150,8 @@ def test_explicit_payoff_wins_over_the_preset(capsys):
 
 #: The row of each oracle problem's channels that holds the pipeline's drift,
 #: as the acceptance suite's ``_oracle_case`` also indexes it.
-_ORACLE_ATOM_ROWS = {"bs": 1, "ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_price": 1,
-                     "mdp_st": 1, "mdp_lt": 1}
+_ORACLE_ATOM_ROWS = {"bs": 1, "ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_st": 1,
+                     "mdp_lt": 1}
 
 
 @pytest.mark.parametrize("pipeline", sorted(_ORACLES))
@@ -182,6 +182,22 @@ def test_drift_dump_reports_the_oracle_gap(capsys, kind):
     assert len(gaps) == 1
     gap = gaps.pop()
     assert np.isfinite(gap) and gap >= -1e-6
+
+
+def test_drift_dump_under_constant_vol(capsys):
+    # the arithmetic payoff picks the constant-vol table, whose BS drift is the
+    # geometric-call root on sigma's one Brownian channel
+    code, out, err = run_cli(capsys, "drift", "--payoff", "arithmetic_asian_call",
+                             "--kind", "BS", "--strike", "50", "--steps", "16")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    col = dict(zip(lines[0].split(","), values.T))
+    assert values.shape[0] == 17
+    assert np.all(np.isfinite(col["h1_dot"])) and col["h1_dot"].any()
+    assert np.all(col["h2_dot"] == 0.0)
+    assert np.all(col["psi"] == 0.25**2)  # sigma_const squared
+    assert np.all(np.isnan(col["oracle_gap"]))  # no oracle for that table
 
 
 def test_determinism_byte_identical_csv(tmp_path, capsys):
