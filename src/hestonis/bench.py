@@ -4,10 +4,10 @@ estimator.
 
 Paths are generated in fixed-size chunks with independent Philox streams
 (seed, chunk index), so results are identical no matter how many workers
-consume the chunks. Reductions accumulate per-chunk partial sums and combine
-them in chunk order. One engine runs every table: the Heston tables and the
-constant-volatility arithmetic-Asian comparison differ only in the per-chunk
-path kernel and in the kinds their table offers (``KINDS``).
+consume the chunks. Reductions take per-chunk moments (count, mean, M2) and
+merge them in chunk order. One engine runs every table: the Heston tables
+and the constant-volatility arithmetic-Asian comparison differ only in the
+per-chunk path kernel and in the kinds their table offers (``KINDS``).
 """
 
 from __future__ import annotations
@@ -377,46 +377,39 @@ def _map_chunks(fn, chunks, pool: ThreadPoolExecutor | None) -> list:
     return list(pool.map(fn, chunks))
 
 
-def _sample_variance(s1: float, s2: float, n: float) -> float:
-    return max((s2 - s1 * s1 / n) / (n - 1.0), 0.0)
-
-
 @dataclass
 class _Moments:
-    """Sums of the estimator's values (s1, s2) and positive-payoff weights
-    (pos); for the geometric control also the control's sums (c1, c2) and
-    its cross sum with the values."""
+    """Count, mean and sum of squared deviations from the mean (M2) of the
+    estimator's values, and the sum of their positive-payoff weights (pos).
+
+    A chunk's moments come from two passes over its values, and chunks merge
+    by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983).
+    The variance is then never the difference of two large sums, which loses
+    digits where it is tiny next to the squared mean.
+    """
 
     n: float = 0.0
-    s1: float = 0.0
-    s2: float = 0.0
+    mean: float = 0.0
+    m2: float = 0.0
     pos: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-    cross: float = 0.0
 
-    def add(self, values: np.ndarray, pos_weight: np.ndarray):
-        self.n += values.size
-        self.s1 += float(values.sum())
-        self.s2 += float((values * values).sum())
-        self.pos += float(pos_weight.sum())
-
-    def add_control(self, control: np.ndarray, values: np.ndarray):
-        self.c1 += float(control.sum())
-        self.c2 += float((control * control).sum())
-        self.cross += float((values * control).sum())
+    @classmethod
+    def of(cls, values: np.ndarray, pos_weight: np.ndarray) -> "_Moments":
+        mean = float(values.mean())
+        dev = values - mean
+        return cls(float(values.size), mean, float((dev * dev).sum()), float(pos_weight.sum()))
 
     def merge(self, other: "_Moments"):
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    @property
-    def mean(self) -> float:
-        return self.s1 / self.n
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        self.mean += delta * (other.n / n)
+        self.m2 += other.m2 + delta * delta * (self.n * other.n / n)
+        self.n = n
+        self.pos += other.pos
 
     @property
     def variance(self) -> float:
-        return _sample_variance(self.s1, self.s2, self.n)
+        return self.m2 / (self.n - 1.0)
 
 
 def _label(kind: EstimatorKind, strike: float) -> str:
@@ -449,7 +442,7 @@ def _const_vol_paths(
             (profile ** 2).sum() * grid.dt
         )
         dw = dw + profile * grid.dt
-    x = np.zeros((dw.shape[0], grid.n_steps + 1))
+    x = np.zeros((dw.shape[0], grid.n_steps + 1), order="F")
     np.cumsum(-0.5 * sigma * sigma * grid.dt + sigma * dw, axis=1, out=x[:, 1:])
     return x, log_inv_weight
 
@@ -494,19 +487,27 @@ def _chunk_moments(
         del batch  # frees v_raw before the payoff's temporaries
     g = payoff_mod.evaluate(spec, params, grid, x, v)
     hit = (g > 0.0).astype(float)
-    m = _Moments()
     if kind is EstimatorKind.ANTITHETIC:
-        m.add(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
+        m = _Moments.of(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
+    elif kind is EstimatorKind.CONTROL_GEOMETRIC:
+        # unit-coefficient control: the value is arith - geo, priced as
+        # E[geo] + its mean (``_report``), the classic pairing of the
+        # arithmetic payoff with its exactly-priced geometric twin
+        m = _Moments.of(g - _geometric_control(x, params, grid, spec.strike), hit)
     elif drift is None:
-        m.add(g, hit)
+        m = _Moments.of(g, hit)
     else:
-        m.add(*_weighted(g, log_inv_weight))
-    if kind is EstimatorKind.CONTROL_GEOMETRIC:
-        m.add_control(_geometric_control(x, params, grid, spec.strike), g)
-    if not np.all(np.isfinite((m.s1, m.s2, m.pos))):
+        m = _Moments.of(*_weighted(g, log_inv_weight))
+    if not np.all(np.isfinite((m.mean, m.m2, m.pos))):
         raise OptimError(
-            f"{_label(kind, spec.strike)}: non-finite weighted payoff sum in chunk "
-            f"{rng.stream_offset} (s1={m.s1!r}, s2={m.s2!r})"
+            f"{_label(kind, spec.strike)}: non-finite weighted payoff moments in chunk "
+            f"{rng.stream_offset} (mean={m.mean!r}, M2={m.m2!r})"
+        )
+    if drift is not None and not np.exp(log_inv_weight.max()) > 0.0:
+        # E_Q[w] = 1, so a chunk whose every weight is 0 estimates nothing
+        raise OptimError(
+            f"{_label(kind, spec.strike)}: every likelihood weight underflowed to 0 in chunk "
+            f"{rng.stream_offset} (largest log-weight {float(log_inv_weight.max())!r})"
         )
     return m
 
@@ -588,13 +589,7 @@ def _report(
         variance = 2.0 * variance  # per-sample equivalent of pair averages
         n_eff = 2.0 * total.n
     elif kind is EstimatorKind.CONTROL_GEOMETRIC:
-        # unit-coefficient control: arith - geo + E[geo], the classic pairing
-        # of the arithmetic payoff with its exactly-priced geometric twin
-        n = total.n
-        cov = (total.cross - total.s1 * total.c1 / n) / (n - 1.0)
-        geo_exact = geometric_asian_price_bs(factory.params, factory.sigma, strike, grid)
-        price = total.mean + (geo_exact - total.c1 / n)
-        variance = max(variance - 2.0 * cov + _sample_variance(total.c1, total.c2, n), 0.0)
+        price += geometric_asian_price_bs(factory.params, factory.sigma, strike, grid)
     std_err = float(np.sqrt(variance / n_eff)) if n_eff > 1 else float("nan")
     if kind is EstimatorKind.CLASSIC:
         var_red = 1.0

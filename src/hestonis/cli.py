@@ -248,9 +248,10 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     params, grid, sigma = cfg.params(), cfg.grid(), _table_sigma(cfg)
     spec = make_payoff(cfg.payoff_kind(), strike, grid.t_end)
     factory = bench.DriftFactory(params, grid, sigma)
+    pipeline, mode = factory.route(kind, spec)
+    if mode is DriftMode.PER_STEP_ADAPTIVE:
+        raise DomainError(f"{kind_name}: per-step schedules have no static dump")
     drift, _ = factory.build(kind, spec)
-    if drift.mode is DriftMode.PER_STEP_ADAPTIVE:
-        raise OptimError(f"{kind_name}: per-step schedules have no static dump")
     psi = psi_deterministic(params, grid) if sigma is None else np.full(grid.knots.size, sigma**2)
     cols = {
         "t": grid.knots,
@@ -259,7 +260,6 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
         "psi": psi,
     }
     gap = float("nan")
-    pipeline, _ = factory.route(kind, spec)
     if factory.table(spec) is bench.Table.CALL and pipeline in _ORACLES:
         gap, _ = oracle_gap(pipeline, spec, factory, 2500, cols)
     header = ",".join(list(cols.keys()) + ["oracle_gap"])

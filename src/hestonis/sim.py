@@ -17,6 +17,12 @@ Q-increments so weights can be recomputed after the fact.
 
 Normals come from the counter-based Philox generator through the inverse CDF,
 so parallel chunks with distinct stream offsets are reproducible bit for bit.
+
+Every path matrix is stored column-major (Fortran order): the scheme steps
+all paths through time i at once, so column i of each array is the one
+contiguous vector of n_paths values that step reads or writes. Row-major
+storage puts consecutive paths a row apart, and every vector operation of a
+step then strides across the whole matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ class PathBatch:
 
     x, v, v_raw have shape (n_paths, n_steps + 1); dw, dw_perp have shape
     (n_paths, n_steps) and hold the increments of the simulating measure.
+    The arrays this module allocates are column-major, so the values of one
+    time step are contiguous (the scheme's access pattern).
     """
 
     x: np.ndarray
@@ -65,20 +73,35 @@ class PathBatch:
         return self.x.shape[0]
 
 
+#: Rows drawn, transformed and stored per pass of ``normal_increments``.
+DRAW_ROWS = 1024
+
+
 def normal_increments(
     rng: RngSpec, n_paths: int, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n_paths, n_steps) blocks of N(0, dt) increments via inverse CDF.
+    """Two column-major (n_paths, n_steps) blocks of N(0, dt) increments via
+    inverse CDF.
 
     The stream fills the rows in order, so the first m rows of a draw equal
-    a draw of m rows from the same ``rng``.
+    a draw of m rows from the same ``rng``. Row i holds uniforms 2 n_steps i
+    to 2 n_steps (i + 1) of the stream, dw the first half and dw_perp the
+    second. Drawing ``DRAW_ROWS`` rows at a time consumes the same stream as
+    one draw of every row, and its row-major buffer stays small next to the
+    blocks it fills.
     """
     gen = rng.generator()
-    z = gen.random((n_paths, 2 * n_steps))
-    z += 2.0**-54  # keep uniforms strictly inside (0, 1) for ndtri
-    ndtri(z, out=z)
-    z *= np.sqrt(dt)
-    return z[:, :n_steps], z[:, n_steps:]
+    dw = np.empty((n_paths, n_steps), order="F")
+    dwp = np.empty((n_paths, n_steps), order="F")
+    sdt = np.sqrt(dt)
+    for r in range(0, n_paths, DRAW_ROWS):
+        z = gen.random((min(DRAW_ROWS, n_paths - r), 2 * n_steps))
+        z += 2.0**-54  # keep uniforms strictly inside (0, 1) for ndtri
+        ndtri(z, out=z)
+        z *= sdt
+        dw[r:r + z.shape[0]] = z[:, :n_steps]
+        dwp[r:r + z.shape[0]] = z[:, n_steps:]
+    return dw, dwp
 
 
 def _evolve(
@@ -94,9 +117,9 @@ def _evolve(
     k, th, xi = params.kappa, params.theta, params.xi
     rho, rho_bar = params.rho, params.rho_bar
 
-    x = np.zeros((n_paths, n + 1))
-    v = np.empty((n_paths, n + 1))
-    v_raw = np.empty((n_paths, n + 1))
+    x = np.zeros((n_paths, n + 1), order="F")
+    v = np.empty((n_paths, n + 1), order="F")
+    v_raw = np.empty((n_paths, n + 1), order="F")
     v_raw[:, 0] = params.v0
     v[:, 0] = params.v0
 
@@ -186,7 +209,7 @@ def mirror_increments(
     """Antithetic blocks of 2m rows from m rows: row 2k is row k, row 2k+1 its negation."""
     out = []
     for half in (dw_half, dwp_half):
-        full = np.empty((2 * half.shape[0], half.shape[1]))
+        full = np.empty((2 * half.shape[0], half.shape[1]), order="F")
         full[0::2], full[1::2] = half, -half
         out.append(full)
     return out[0], out[1]

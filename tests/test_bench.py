@@ -416,6 +416,119 @@ def test_a_shared_estimator_that_fails_names_each_cell(params, monkeypatch):
     assert np.isnan(by_kind["MDPsn"].price)
 
 
+@given(seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from([DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE]),
+       h=st.lists(st.floats(-1.0, 1.0), min_size=2 * (GRID16.n_steps + 1),
+                  max_size=2 * (GRID16.n_steps + 1)))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_girsanov_weights_have_unit_mean(params, seed, mode, h):
+    # E_Q[dP/dQ] = 1 for any bounded schedule; a bounded |h| <= 1 keeps the
+    # weights' variance below e^2 - 1, so 4,000 paths resolve the mean
+    h1, h2 = np.reshape(h, (2, -1))
+    n = 4_000
+    batch = sim.simulate_q(params, GRID16, n, sim.RngSpec(seed), DriftSchedule(mode, h1, h2))
+    w = np.exp(batch.log_inv_weight)
+    assert abs(w.mean() - 1.0) <= 5.0 * w.std(ddof=1) / np.sqrt(n)
+
+
+@pytest.fixture(scope="module")
+def rows_unforced(params):
+    return _stable_rows(run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0],
+                                  FROZEN_VOL_KINDS, params, GRID16, 3000, SEED))
+
+
+@given(victim=st.sampled_from([(k, s) for k in FROZEN_VOL_KINDS[1:] for s in (50.0, 65.0)]),
+       mode=st.sampled_from([DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE]),
+       size=st.floats(200.0, 2000.0))
+@settings(max_examples=12, deadline=None)
+def test_an_oversized_drift_fails_only_its_own_cell(params, rows_unforced, victim, mode, size):
+    # a drift this large sends every weight to 0, and S to overflow where it
+    # grows fast enough; the cell must report that by name, and no other row
+    # may move
+    kind, strike = victim
+    oversized = DriftSchedule(mode, np.full(GRID16.n_steps + 1, size),
+                              np.full(GRID16.n_steps + 1, size), provenance="test")
+    build = bench.DriftFactory.build
+
+    def forced(self, k, spec):
+        return (oversized, 0.0) if (k, spec.strike) == victim else build(self, k, spec)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(bench.DriftFactory, "build", forced)
+        reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
+                            params, GRID16, 3000, SEED)
+    rows = _stable_rows(reports)
+    for r in reports:
+        if (r.kind, r.strike) == (kind.value, strike):
+            assert r.error.startswith(f"{kind.value} @ K={strike}: ")
+            assert np.isnan(r.price)
+        else:
+            assert rows[r.kind, r.strike] == rows_unforced[r.kind, r.strike]
+
+
+def _two_pass_variance(values: np.ndarray) -> float:
+    v = values.astype(np.longdouble)
+    dev = v - v.mean()
+    return float((dev * dev).sum() / (v.size - 1))
+
+
+def _chunk_streams(n, grid):
+    """(rng, increments) of each chunk of an ``n``-path table on ``grid``."""
+    streams = []
+    for j, size in enumerate(bench._chunk_sizes(n)):
+        rng = sim.RngSpec(SEED, j)
+        streams.append((rng, sim.normal_increments(rng, size, grid.n_steps, grid.dt)))
+    return streams
+
+
+#: Three chunks, the last one partial.
+N_MERGE = 2 * CHUNK_PATHS + 1_001
+
+
+def test_itm_variances_match_a_long_double_two_pass(params):
+    # BS_A2 at K=30 has a variance hundreds of times below Classic's next to
+    # the same squared mean: the case that raw sums of squares lose digits on
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 30.0, 1.0)
+    kinds = [EstimatorKind.CLASSIC, EstimatorKind.BS_A2]
+    tables = [run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [30.0], kinds, params, GRID16,
+                        N_MERGE, SEED, workers=workers) for workers in (1, 2)]
+    assert _stable_rows(tables[0]) == _stable_rows(tables[1])
+    drift, _ = bench.DriftFactory(params, GRID16).build(EstimatorKind.BS_A2, spec)
+    values = {"Classic": [], "BS_A2": []}
+    for rng, inc in _chunk_streams(N_MERGE, GRID16):
+        p = sim.simulate_p(params, GRID16, inc[0].shape[0], rng, inc)
+        values["Classic"].append(evaluate(spec, params, GRID16, p.x))
+        q = sim.simulate_q(params, GRID16, inc[0].shape[0], rng, drift, inc)
+        g = evaluate(spec, params, GRID16, q.x)
+        values["BS_A2"].append(bench._weighted(g, q.log_inv_weight)[0])
+    for r in tables[0]:
+        want = _two_pass_variance(np.concatenate(values[r.kind]))
+        assert r.variance == pytest.approx(want, rel=1e-12, abs=0.0), r.kind
+    by_kind = {r.kind: r for r in tables[0]}
+    assert by_kind["BS_A2"].var_reduction > 100.0
+
+
+def test_control_variance_matches_a_long_double_two_pass(params, grid):
+    # deep in the money the arithmetic and geometric payoffs nearly cancel,
+    # and a variance from raw sums of squares is off by more than 1e-12 here
+    sigma, strike, n = 0.25, 30.0, CHUNK_PATHS + 1_001
+    spec = make_payoff(PayoffKind.ARITHMETIC_ASIAN_CALL, strike, 1.0)
+    kinds = [EstimatorKind.CLASSIC, EstimatorKind.CONTROL_GEOMETRIC]
+    classic, control = bench.run_appendix_table([strike], kinds, params, sigma, grid, n, SEED)
+    arith, diff = [], []
+    for _, inc in _chunk_streams(n, grid):
+        x, _ = bench._const_vol_paths(sigma, grid, None, inc[0])
+        g = evaluate(spec, params, grid, x)
+        geo = bench._geometric_control(x, params, grid, strike)
+        arith.append(g)
+        diff.append(g.astype(np.longdouble) - geo.astype(np.longdouble))
+    assert classic.variance == pytest.approx(_two_pass_variance(np.concatenate(arith)),
+                                             rel=1e-12, abs=0.0)
+    assert control.variance == pytest.approx(_two_pass_variance(np.concatenate(diff)),
+                                             rel=1e-12, abs=0.0)
+    assert control.var_reduction > 100.0
+
+
 @pytest.mark.parametrize("kind,mode", [(EstimatorKind.MDP_ST, DriftMode.DETERMINISTIC),
                                        (EstimatorKind.MDP_ST_A, DriftMode.ADAPTIVE)])
 def test_small_time_schedule_is_the_root_at_sqrt_v0(params, kind, mode):

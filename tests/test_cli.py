@@ -200,6 +200,13 @@ def test_drift_dump_under_constant_vol(capsys):
     assert np.all(np.isnan(col["oracle_gap"]))  # no oracle for that table
 
 
+def test_per_step_drift_dump_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, "drift", "--kind", "BS_A2", "--strike", "50",
+                             "--steps", "16")
+    assert (code, out) == (1, "")
+    assert err == "config error: BS_A2: per-step schedules have no static dump\n"
+
+
 def test_determinism_byte_identical_csv(tmp_path, capsys):
     args = (
         "price", "--strikes", "50,60", "--kinds", "Classic,BS",

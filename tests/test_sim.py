@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
+from hestonis.drift_bs import bs_fully_adaptive
 from hestonis.errors import DomainError
 from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
+from hestonis.payoff import PayoffKind, make_payoff
 from hestonis.sim import (
+    DRAW_ROWS,
     RngSpec,
     _evolve,
     antithetic_pairs,
@@ -185,3 +189,63 @@ def test_pre_drawn_increments_of_wrong_shape_rejected(params, grid):
         simulate_p(params, grid, 11, RngSpec(8), block)
     with pytest.raises(DomainError):
         antithetic_pairs(params, grid, 20, RngSpec(8), block)
+
+
+def _one_shot_increments(rng, n_paths, n_steps, dt):
+    """The stream's increments as one row-major draw of every row."""
+    z = rng.generator().random((n_paths, 2 * n_steps))
+    z += 2.0**-54
+    ndtri(z, out=z)
+    z *= np.sqrt(dt)
+    return z[:, :n_steps], z[:, n_steps:]
+
+
+@pytest.mark.parametrize("n", [DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1, 2 * DRAW_ROWS + 7])
+def test_blocked_draw_is_the_one_shot_stream(grid, n):
+    rng = RngSpec(20240, 3)
+    got = normal_increments(rng, n, grid.n_steps, grid.dt)
+    for block, want in zip(got, _one_shot_increments(rng, n, grid.n_steps, grid.dt)):
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, want)
+
+
+def _step_drifts(params, grid):
+    """A deterministic, an adaptive and a per-step (BS_A2) schedule on ``grid``."""
+    h = np.linspace(0.8, -0.3, grid.n_steps + 1)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, grid.t_end)
+    return [DriftSchedule(DriftMode.DETERMINISTIC, h, -0.5 * h),
+            DriftSchedule(DriftMode.ADAPTIVE, 2.0 * h, h),
+            bs_fully_adaptive(spec, params, grid)]
+
+
+def _batches(params, grid, n, rng, increments):
+    """Every kernel entry on the same increments: P, each drift of
+    ``_step_drifts`` and antithetic pairs of the first n // 2 rows."""
+    half = tuple(a[: n // 2] for a in increments)
+    return [simulate_p(params, grid, n, rng, increments),
+            *(simulate_q(params, grid, n, rng, d, increments)
+              for d in _step_drifts(params, grid)),
+            antithetic_pairs(params, grid, n, rng, mirror_increments(*half))]
+
+
+def test_row_major_increments_give_the_same_bits(params):
+    grid, rng, n = TimeGrid(16, 1.0), RngSpec(8, 1), 300
+    block = normal_increments(rng, n, grid.n_steps, grid.dt)
+    rows = tuple(np.ascontiguousarray(a) for a in block)
+    assert not rows[0].flags.f_contiguous
+    for col, row in zip(_batches(params, grid, n, rng, block),
+                        _batches(params, grid, n, rng, rows)):
+        assert np.array_equal(col.x, row.x)
+        assert np.array_equal(col.v_raw, row.v_raw)
+        if col.log_inv_weight is not None:
+            assert np.array_equal(col.log_inv_weight, row.log_inv_weight)
+
+
+def test_batches_are_column_major(params):
+    grid, rng, n = TimeGrid(16, 1.0), RngSpec(8, 1), 300
+    block = normal_increments(rng, n, grid.n_steps, grid.dt)
+    fresh = [simulate_p(params, grid, n, rng), antithetic_pairs(params, grid, n, rng),
+             *(simulate_q(params, grid, n, rng, d) for d in _step_drifts(params, grid))]
+    for batch in fresh + _batches(params, grid, n, rng, block):
+        for a in (batch.x, batch.v, batch.v_raw, batch.dw, batch.dw_perp):
+            assert a.flags.f_contiguous
