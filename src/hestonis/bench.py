@@ -5,9 +5,11 @@ estimator.
 Paths are generated in fixed-size chunks with independent Philox streams
 (seed, chunk index), so results are identical no matter how many workers
 consume the chunks. Reductions take per-chunk moments (count, mean, M2) and
-merge them in chunk order. One engine runs every table: the Heston tables
-and the constant-volatility arithmetic-Asian comparison differ only in the
-per-chunk path kernel and in the kinds their table offers (``KINDS``).
+merge them in chunk order. One engine runs every table on the one path
+kernel of ``sim``: the Heston tables and the constant-volatility
+arithmetic-Asian comparison differ only in the kernel's variance (frozen at
+``sigma`` squared for the latter) and in the kinds their table offers
+(``KINDS``).
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from scipy.stats import norm
 from .errors import DomainError, OptimError
 from .measure import DriftMode, DriftSchedule
 from .model import HestonParams, TimeGrid, psi_deterministic, validate
-from .payoff import (
-    PayoffKind,
-    PayoffSpec,
-    aggregate_log_return,
-    geometric_weight,
-    make_payoff,
-)
+from .payoff import PayoffKind, PayoffSpec, geometric_weight, make_payoff
 from . import payoff as payoff_mod
 from . import sim
 from . import varopt
@@ -428,34 +424,6 @@ def _weighted(g: np.ndarray, log_inv_weight: np.ndarray) -> tuple[np.ndarray, np
         return np.where(hit, g * w, 0.0), np.where(hit, w, 0.0)
 
 
-def _const_vol_paths(
-    sigma: float, grid: TimeGrid, drift: DriftSchedule | None, dw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Constant-vol log paths X on increments ``dw`` and, under a drift, log Z^{-1}.
-
-    The drift's h1 profile shifts the one Brownian channel.
-    """
-    log_inv_weight = None
-    if drift is not None:
-        profile = drift.h1_dot[:-1]
-        log_inv_weight = -(profile * dw).sum(axis=1) - 0.5 * float(
-            (profile ** 2).sum() * grid.dt
-        )
-        dw = dw + profile * grid.dt
-    x = np.zeros((dw.shape[0], grid.n_steps + 1), order="F")
-    np.cumsum(-0.5 * sigma * sigma * grid.dt + sigma * dw, axis=1, out=x[:, 1:])
-    return x, log_inv_weight
-
-
-def _geometric_control(
-    x: np.ndarray, params: HestonParams, grid: TimeGrid, strike: float
-) -> np.ndarray:
-    """The geometric-Asian call on the same paths, the arithmetic payoff's control."""
-    alpha = geometric_weight(grid.t_end).on_grid(grid)
-    fwd = params.s0 * np.exp(0.5 * params.r * grid.t_end)
-    return np.maximum(fwd * np.exp(aggregate_log_return(x, alpha)) - strike, 0.0)
-
-
 def _chunk_moments(
     kind: EstimatorKind,
     spec: PayoffSpec,
@@ -471,20 +439,17 @@ def _chunk_moments(
     for Antithetic the mirrored pairs of the first ceil(size / 2) rows. Raises
     OptimError naming the cell when a sum is not finite.
     """
-    params, grid = factory.params, factory.grid
-    v = None
-    if factory.sigma is not None:
-        x, log_inv_weight = _const_vol_paths(factory.sigma, grid, drift, increments[0])
+    params, grid, sigma = factory.params, factory.grid, factory.sigma
+    if drift is not None:
+        batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments,
+                               sigma=sigma)
+    elif kind is EstimatorKind.ANTITHETIC:
+        batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
+                                     increments=increments, sigma=sigma)
     else:
-        if kind is EstimatorKind.CLASSIC:
-            batch = sim.simulate_p(params, grid, size, rng, increments=increments)
-        elif kind is EstimatorKind.ANTITHETIC:
-            batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
-                                         increments=increments)
-        else:
-            batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments)
-        x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
-        del batch  # frees v_raw before the payoff's temporaries
+        batch = sim.simulate_p(params, grid, size, rng, increments=increments, sigma=sigma)
+    x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
+    del batch  # frees v_raw before the payoff's temporaries
     g = payoff_mod.evaluate(spec, params, grid, x, v)
     hit = (g > 0.0).astype(float)
     if kind is EstimatorKind.ANTITHETIC:
@@ -493,7 +458,8 @@ def _chunk_moments(
         # unit-coefficient control: the value is arith - geo, priced as
         # E[geo] + its mean (``_report``), the classic pairing of the
         # arithmetic payoff with its exactly-priced geometric twin
-        m = _Moments.of(g - _geometric_control(x, params, grid, spec.strike), hit)
+        geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, grid.t_end)
+        m = _Moments.of(g - payoff_mod.evaluate(geo, params, grid, x), hit)
     elif drift is None:
         m = _Moments.of(g, hit)
     else:

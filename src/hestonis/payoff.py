@@ -72,8 +72,8 @@ class PayoffSpec:
     weight: WeightPath | None = None
 
     def __post_init__(self):
-        if self.strike < 0.0:
-            raise DomainError("strike must be nonnegative")
+        if not 0.0 <= self.strike < np.inf:
+            raise DomainError("strike must be finite and nonnegative")
 
 
 def make_payoff(kind: PayoffKind, strike: float, t_end: float) -> PayoffSpec:

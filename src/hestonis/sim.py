@@ -15,6 +15,11 @@ recursions: dW_i <- dW_i^Q + m1(t_i) dt (and likewise the orthogonal channel),
 with the modulation (m1, m2) defined by the schedule mode. Batches retain the
 Q-increments so weights can be recomputed after the fact.
 
+Given a constant volatility sigma the same kernel runs with the variance
+frozen at sigma^2 on the one channel dW (loading (1, 0)): no variance
+recursion runs, X_{i+1} = X_i - sigma^2/2 dt + sigma dW_i, and the batch
+stores no variance paths.
+
 Normals come from the counter-based Philox generator through the inverse CDF,
 so parallel chunks with distinct stream offsets are reproducible bit for bit.
 
@@ -53,19 +58,19 @@ class RngSpec:
 class PathBatch:
     """Simulated paths with the Brownian increments retained for reweighting.
 
-    x, v, v_raw have shape (n_paths, n_steps + 1); dw, dw_perp have shape
-    (n_paths, n_steps) and hold the increments of the simulating measure.
+    x, v, v_raw have shape (n_paths, n_steps + 1), and v, v_raw are None
+    under a frozen (constant) variance; dw, dw_perp have shape (n_paths,
+    n_steps) and hold the increments of the simulating measure.
     The arrays this module allocates are column-major, so the values of one
     time step are contiguous (the scheme's access pattern).
     """
 
     x: np.ndarray
-    v: np.ndarray
-    v_raw: np.ndarray
+    v: np.ndarray | None
+    v_raw: np.ndarray | None
     dw: np.ndarray
     dw_perp: np.ndarray
     grid: TimeGrid
-    seed: RngSpec
     log_inv_weight: np.ndarray | None = None
 
     @property
@@ -74,7 +79,7 @@ class PathBatch:
 
 
 #: Rows drawn, transformed and stored per pass of ``normal_increments``.
-DRAW_ROWS = 1024
+DRAW_ROWS = 256
 
 
 def normal_increments(
@@ -110,18 +115,27 @@ def _evolve(
     dw: np.ndarray,
     dw_perp: np.ndarray,
     drift: DriftSchedule | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Run the scheme; returns (x, v, v_raw, log_inv_weight or None)."""
+    sigma: float | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Run the scheme; returns (x, v, v_raw, log_inv_weight or None).
+
+    A constant ``sigma`` freezes the variance at sigma^2 on the channel dW
+    alone: v and v_raw are then None.
+    """
     n_paths, n = dw.shape
     dt = grid.dt
     k, th, xi = params.kappa, params.theta, params.xi
     rho, rho_bar = params.rho, params.rho_bar
 
     x = np.zeros((n_paths, n + 1), order="F")
-    v = np.empty((n_paths, n + 1), order="F")
-    v_raw = np.empty((n_paths, n + 1), order="F")
-    v_raw[:, 0] = params.v0
-    v[:, 0] = params.v0
+    if sigma is None:
+        v = np.empty((n_paths, n + 1), order="F")
+        v_raw = np.empty((n_paths, n + 1), order="F")
+        v_raw[:, 0] = params.v0
+        v[:, 0] = params.v0
+    else:
+        v = v_raw = None
+        vplus, sq = sigma * sigma, sigma
 
     per_step = drift is not None and drift.mode is DriftMode.PER_STEP_ADAPTIVE
     logw = np.zeros(n_paths) if drift is not None else None
@@ -129,8 +143,9 @@ def _evolve(
     alpha = drift.alpha_knots if per_step else None
 
     for i in range(n):
-        vplus = v[:, i]
-        sq = np.sqrt(vplus)
+        if v is not None:
+            vplus = v[:, i]
+            sq = np.sqrt(vplus)
         if drift is None:
             dwi, dwpi = dw[:, i], dw_perp[:, i]
         else:
@@ -145,11 +160,14 @@ def _evolve(
             dwi = dw[:, i] + m1 * dt
             dwpi = dw_perp[:, i] + m2 * dt
             logw -= m1 * dw[:, i] + m2 * dw_perp[:, i] + 0.5 * (m1 * m1 + m2 * m2) * dt
-        v_raw[:, i + 1] = vplus_next = (
-            v_raw[:, i] + k * (th - vplus) * dt + xi * sq * dwi
-        )
-        v[:, i + 1] = np.maximum(vplus_next, 0.0)
-        dx = -0.5 * vplus * dt + sq * (rho * dwi + rho_bar * dwpi)
+        if v is None:
+            dx = -0.5 * vplus * dt + sq * dwi
+        else:
+            v_raw[:, i + 1] = vplus_next = (
+                v_raw[:, i] + k * (th - vplus) * dt + xi * sq * dwi
+            )
+            v[:, i + 1] = np.maximum(vplus_next, 0.0)
+            dx = -0.5 * vplus * dt + sq * (rho * dwi + rho_bar * dwpi)
         x[:, i + 1] = x[:, i] + dx
         if per_step:
             y_acc += alpha[i] * dx
@@ -177,15 +195,16 @@ def simulate_p(
     n_paths: int,
     rng: RngSpec,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
+    sigma: float | None = None,
 ) -> PathBatch:
-    """Paths under the base measure.
+    """Paths under the base measure; a constant ``sigma`` freezes the variance.
 
     ``increments`` are the (dw, dw_perp) blocks ``normal_increments(rng, ...)``
     would return, when the caller has already drawn them.
     """
     dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None)
-    return PathBatch(x, v, v_raw, dw, dwp, grid, rng)
+    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None, sigma)
+    return PathBatch(x, v, v_raw, dw, dwp, grid)
 
 
 def simulate_q(
@@ -195,12 +214,13 @@ def simulate_q(
     rng: RngSpec,
     drift: DriftSchedule,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
+    sigma: float | None = None,
 ) -> PathBatch:
     """Paths under the drift-shifted measure; retains Q-increments and weights."""
     drift.check_grid(grid)
     dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, logw = _evolve(params, grid, dw, dwp, drift)
-    return PathBatch(x, v, v_raw, dw, dwp, grid, rng, log_inv_weight=logw)
+    x, v, v_raw, logw = _evolve(params, grid, dw, dwp, drift, sigma)
+    return PathBatch(x, v, v_raw, dw, dwp, grid, log_inv_weight=logw)
 
 
 def mirror_increments(
@@ -221,6 +241,7 @@ def antithetic_pairs(
     n_paths: int,
     rng: RngSpec,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
+    sigma: float | None = None,
 ) -> PathBatch:
     """Mirrored-increment pairs: path 2k+1 negates the increments of path 2k.
 
@@ -235,5 +256,5 @@ def antithetic_pairs(
             *normal_increments(rng, n_paths // 2, grid.n_steps, grid.dt)
         )
     dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None)
-    return PathBatch(x, v, v_raw, dw, dwp, grid, rng)
+    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None, sigma)
+    return PathBatch(x, v, v_raw, dw, dwp, grid)

@@ -222,10 +222,13 @@ def test_kind_registry_has_a_builder_for_every_offered_drift():
                                                bench.Table.VARIANCE: "mdp_price"}
 
 
-def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec50):
+def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec50,
+                                                        monkeypatch):
     kinds = [EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC, EstimatorKind.BS,
              EstimatorKind.BS_A, EstimatorKind.BS_A2]
-    n = CHUNK_PATHS + 1001  # odd remainder chunk
+    monkeypatch.setattr(bench, "CHUNK_PATHS", 2_000)
+    # an odd partial last chunk, alone in the last group at two workers
+    n = 2 * bench.CHUNK_PATHS + 1001
     base = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, n, SEED)
     single = [base] + [run_estimator(kind, spec50, params, small_grid, n, SEED)
                        for kind in kinds[1:]]
@@ -328,9 +331,10 @@ def test_zero_drift_is_classic_bit_for_bit(params, seed, n, strike, payoff, mode
     q = sim.simulate_q(params, GRID16, n, rng, zero, increments=inc)
     assert np.array_equal(q.log_inv_weight, np.zeros(n))
     assert np.array_equal(q.x, sim.simulate_p(params, GRID16, n, rng, increments=inc).x)
-    const_x, const_lw = bench._const_vol_paths(0.25, GRID16, zero, inc[0])
-    assert np.array_equal(const_lw, np.zeros(n))
-    assert np.array_equal(const_x, bench._const_vol_paths(0.25, GRID16, None, inc[0])[0])
+    const_q = sim.simulate_q(params, GRID16, n, rng, zero, increments=inc, sigma=0.25)
+    assert np.array_equal(const_q.log_inv_weight, np.zeros(n))
+    assert np.array_equal(const_q.x,
+                          sim.simulate_p(params, GRID16, n, rng, increments=inc, sigma=0.25).x)
     for sigma, payoff_kind in ((None, payoff), (0.25, PayoffKind.ARITHMETIC_ASIAN_CALL)):
         factory = bench.DriftFactory(params, GRID16, sigma)
         spec = make_payoff(payoff_kind, strike, 1.0)
@@ -516,10 +520,11 @@ def test_control_variance_matches_a_long_double_two_pass(params, grid):
     kinds = [EstimatorKind.CLASSIC, EstimatorKind.CONTROL_GEOMETRIC]
     classic, control = bench.run_appendix_table([strike], kinds, params, sigma, grid, n, SEED)
     arith, diff = [], []
-    for _, inc in _chunk_streams(n, grid):
-        x, _ = bench._const_vol_paths(sigma, grid, None, inc[0])
+    geo_spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, 1.0)
+    for rng, inc in _chunk_streams(n, grid):
+        x = sim.simulate_p(params, grid, inc[0].shape[0], rng, inc, sigma=sigma).x
         g = evaluate(spec, params, grid, x)
-        geo = bench._geometric_control(x, params, grid, strike)
+        geo = evaluate(geo_spec, params, grid, x)
         arith.append(g)
         diff.append(g.astype(np.longdouble) - geo.astype(np.longdouble))
     assert classic.variance == pytest.approx(_two_pass_variance(np.concatenate(arith)),

@@ -101,6 +101,24 @@ def test_non_positive_sigma_const_is_a_config_error(tmp_path, capsys, sigma):
     assert err.startswith("config error: ") and "'sigma_const'" in err
 
 
+@pytest.mark.parametrize("key,value,flag", [
+    ("strikes", "nan", True), ("strikes", "50,inf", True), ("strikes", "-inf", False),
+    ("sigma_const", "nan", False), ("sigma_const", "inf", False),
+])
+def test_non_finite_strikes_and_sigma_const_are_config_errors(tmp_path, capsys, key, value,
+                                                              flag):
+    if flag:
+        source = [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        source = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "price", "--payoff", "arithmetic_asian_call", *source,
+                             "--paths", "400", "--steps", "16")
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: invalid value for key '{key}'")
+
+
 def test_workers_reach_the_constant_vol_table(monkeypatch, capsys):
     seen = {}
 

@@ -5,7 +5,7 @@ from scipy.special import ndtri
 
 from hestonis.drift_bs import bs_fully_adaptive
 from hestonis.errors import DomainError
-from hestonis.measure import DriftMode, DriftSchedule
+from hestonis.measure import DriftMode, DriftSchedule, log_inverse_weight
 from hestonis.model import TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
 from hestonis.sim import (
@@ -71,6 +71,27 @@ def test_zero_drift_is_bit_identical_to_base(params, grid, zero_drift):
     assert np.array_equal(bp.v, bq.v)
     assert np.array_equal(bp.dw, bq.dw)
     assert np.all(bq.log_inv_weight == 0.0)
+
+
+def test_frozen_variance_is_the_constant_vol_euler_path(params):
+    grid, rng, n, sigma = TimeGrid(32, 1.0), RngSpec(13, 2), 400, 0.25
+    dw, dwp = normal_increments(rng, n, grid.n_steps, grid.dt)
+
+    def const_vol_x(dw_sim):
+        x = np.zeros((n, grid.n_steps + 1))
+        x[:, 1:] = np.cumsum(-0.5 * sigma * sigma * grid.dt + sigma * dw_sim, axis=1)
+        return x
+
+    p = simulate_p(params, grid, n, rng, (dw, dwp), sigma=sigma)
+    assert p.v is None and p.v_raw is None
+    assert np.array_equal(p.x, const_vol_x(dw))
+    # the orthogonal channel has loading 0: its drift moves the weight only
+    h1, h2 = np.linspace(0.6, -0.2, grid.n_steps + 1), np.linspace(-0.4, 0.3, grid.n_steps + 1)
+    drift = DriftSchedule(DriftMode.DETERMINISTIC, h1, h2)
+    q = simulate_q(params, grid, n, rng, drift, (dw, dwp), sigma=sigma)
+    assert q.v is None and q.v_raw is None
+    assert np.array_equal(q.x, const_vol_x(dw + h1[:-1] * grid.dt))
+    assert_allclose(q.log_inv_weight, log_inverse_weight(q, drift), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.7, -1.3])
@@ -200,8 +221,11 @@ def _one_shot_increments(rng, n_paths, n_steps, dt):
     return z[:, :n_steps], z[:, n_steps:]
 
 
-@pytest.mark.parametrize("n", [DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1, 2 * DRAW_ROWS + 7])
+#: Row counts that end a draw in blocks of ``DRAW_ROWS`` = 256 rows on a last
+#: block of 255, 256, 1 and 7 rows.
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2055])
 def test_blocked_draw_is_the_one_shot_stream(grid, n):
+    assert DRAW_ROWS < n
     rng = RngSpec(20240, 3)
     got = normal_increments(rng, n, grid.n_steps, grid.dt)
     for block, want in zip(got, _one_shot_increments(rng, n, grid.n_steps, grid.dt)):
