@@ -4,8 +4,10 @@ estimator.
 
 Paths are generated in fixed-size chunks with independent Philox streams
 (seed, chunk index), so results are identical no matter how many workers
-consume the chunks. Reductions take per-chunk moments (count, mean, M2) and
-merge them in chunk order. One engine runs every table on the one path
+consume the chunks. Each chunk is simulated once per measure (no drift,
+mirrored pairs, or one drift schedule), and every cell on that measure reads
+it. Reductions take per-chunk moments (count, mean, M2) and merge them in
+chunk order. One engine runs every table on the one path
 kernel of ``sim``: the Heston tables and the constant-volatility
 arithmetic-Asian comparison differ only in the kernel's variance (frozen at
 ``sigma`` squared for the latter) and in the kinds their table offers
@@ -408,10 +410,6 @@ class _Moments:
         return self.m2 / (self.n - 1.0)
 
 
-def _label(kind: EstimatorKind, strike: float) -> str:
-    return f"{kind.value} @ K={strike}"
-
-
 def _weighted(g: np.ndarray, log_inv_weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted payoff and weighted positive-payoff indicator per path.
 
@@ -425,57 +423,60 @@ def _weighted(g: np.ndarray, log_inv_weight: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _chunk_moments(
-    kind: EstimatorKind,
-    spec: PayoffSpec,
+    cells: list[_TableCell],
     factory: DriftFactory,
     drift: DriftSchedule | None,
     size: int,
     rng: sim.RngSpec,
     increments: tuple[np.ndarray, np.ndarray],
-) -> _Moments:
-    """Moments of one chunk of the (kind, spec) estimator on stream ``rng``.
-
-    ``increments`` are the chunk's pre-drawn (dw, dw_perp): ``size`` rows, or
-    for Antithetic the mirrored pairs of the first ceil(size / 2) rows. Raises
-    OptimError naming the cell when a sum is not finite.
-    """
+) -> list[_Moments]:
+    """Each cell's moments of one chunk on stream ``rng``, whose paths are
+    simulated once under ``drift`` (None: the base measure, in mirrored pairs
+    for Antithetic) from the pre-drawn ``increments``, and whose payoff specs
+    are evaluated once each. Raises OptimError when a sum is not finite."""
     params, grid, sigma = factory.params, factory.grid, factory.sigma
+    antithetic = cells[0].kind is EstimatorKind.ANTITHETIC
     if drift is not None:
         batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments,
                                sigma=sigma)
-    elif kind is EstimatorKind.ANTITHETIC:
+    elif antithetic:
         batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
                                      increments=increments, sigma=sigma)
     else:
         batch = sim.simulate_p(params, grid, size, rng, increments=increments, sigma=sigma)
     x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
     del batch  # frees v_raw before the payoff's temporaries
-    g = payoff_mod.evaluate(spec, params, grid, x, v)
-    hit = (g > 0.0).astype(float)
-    if kind is EstimatorKind.ANTITHETIC:
-        m = _Moments.of(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
-    elif kind is EstimatorKind.CONTROL_GEOMETRIC:
-        # unit-coefficient control: the value is arith - geo, priced as
-        # E[geo] + its mean (``_report``), the classic pairing of the
-        # arithmetic payoff with its exactly-priced geometric twin
-        geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, grid.t_end)
-        m = _Moments.of(g - payoff_mod.evaluate(geo, params, grid, x), hit)
-    elif drift is None:
-        m = _Moments.of(g, hit)
-    else:
-        m = _Moments.of(*_weighted(g, log_inv_weight))
-    if not np.all(np.isfinite((m.mean, m.m2, m.pos))):
-        raise OptimError(
-            f"{_label(kind, spec.strike)}: non-finite weighted payoff moments in chunk "
-            f"{rng.stream_offset} (mean={m.mean!r}, M2={m.m2!r})"
-        )
+    payoffs, moments = {}, []
+    for cell in cells:
+        if cell.spec not in payoffs:
+            g = payoff_mod.evaluate(cell.spec, params, grid, x, v)
+            payoffs[cell.spec] = g, (g > 0.0).astype(float)
+        g, hit = payoffs[cell.spec]
+        if antithetic:
+            m = _Moments.of(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
+        elif cell.kind is EstimatorKind.CONTROL_GEOMETRIC:
+            # unit-coefficient control: the value is arith - geo, priced as
+            # E[geo] + its mean (``_report``), the classic pairing of the
+            # arithmetic payoff with its exactly-priced geometric twin
+            geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, cell.spec.strike, grid.t_end)
+            m = _Moments.of(g - payoff_mod.evaluate(geo, params, grid, x), hit)
+        elif drift is None:
+            m = _Moments.of(g, hit)
+        else:
+            m = _Moments.of(*_weighted(g, log_inv_weight))
+        if not np.all(np.isfinite((m.mean, m.m2, m.pos))):
+            raise OptimError(
+                f"non-finite weighted payoff moments in chunk {rng.stream_offset} "
+                f"(mean={m.mean!r}, M2={m.m2!r})"
+            )
+        moments.append(m)
     if drift is not None and not np.exp(log_inv_weight.max()) > 0.0:
         # E_Q[w] = 1, so a chunk whose every weight is 0 estimates nothing
         raise OptimError(
-            f"{_label(kind, spec.strike)}: every likelihood weight underflowed to 0 in chunk "
-            f"{rng.stream_offset} (largest log-weight {float(log_inv_weight.max())!r})"
+            f"every likelihood weight underflowed to 0 in chunk {rng.stream_offset} "
+            f"(largest log-weight {float(log_inv_weight.max())!r})"
         )
-    return m
+    return moments
 
 
 @dataclass
@@ -486,20 +487,17 @@ class _ChunkGroup:
     sizes: list[int]
     increments: list[tuple[np.ndarray, np.ndarray]]
     pool: ThreadPoolExecutor | None
-    mirrored: bool = False
 
     def mirror(self) -> None:
         """Replace each chunk's block by the antithetic pairs of its first
         ceil(size / 2) rows, which takes no more memory than the block and
-        frees it: every other cell must run before this."""
-        if not self.mirrored:
-            self.increments = _map_chunks(
-                lambda j: sim.mirror_increments(
-                    *(a[: (self.sizes[j] + 1) // 2] for a in self.increments[j])
-                ),
-                range(len(self.sizes)), self.pool,
-            )
-            self.mirrored = True
+        frees it: every other measure must run before this."""
+        self.increments = _map_chunks(
+            lambda j: sim.mirror_increments(
+                *(a[: (self.sizes[j] + 1) // 2] for a in self.increments[j])
+            ),
+            range(len(self.sizes)), self.pool,
+        )
 
 
 @dataclass(eq=False)
@@ -514,20 +512,17 @@ class _TableCell:
     error: OptimError | DomainError | None = None
 
 
-def _estimator(cell: _TableCell):
-    """The estimator a cell runs, as a key: equal keys give equal moments bit
-    for bit. A kind without drift is itself; a fixed schedule is its mode and
-    channel bytes, or Classic when both channels are zero (m = 0 leaves the
-    increments unchanged and the log-weight at exactly 0); a per-step
-    schedule is never shared."""
+def _measure(cell: _TableCell):
+    """The measure a cell's paths are drawn under, as a key: cells with equal
+    keys read one simulation. No drift is the base measure, and Antithetic
+    its mirrored pairs; a fixed schedule is its mode and channel bytes; a
+    per-step schedule is never shared."""
     drift = cell.drift[0]
     if drift is None:
-        return cell.spec.strike, cell.kind
+        return cell.kind is EstimatorKind.ANTITHETIC
     if drift.mode is DriftMode.PER_STEP_ADAPTIVE:
         return cell
-    if not (drift.h1_dot.any() or drift.h2_dot.any()):
-        return cell.spec.strike, EstimatorKind.CLASSIC
-    return cell.spec.strike, drift.mode, drift.h1_dot.tobytes(), drift.h2_dot.tobytes()
+    return drift.mode, drift.h1_dot.tobytes(), drift.h2_dot.tobytes()
 
 
 def _report(
@@ -579,16 +574,17 @@ def run_estimator(
     seed: int,
     workers: int = 1,
     factory: DriftFactory | None = None,
-    shared: tuple[_ChunkGroup, _TableCell] | None = None,
+    shared: tuple[_ChunkGroup, list[_TableCell]] | None = None,
 ) -> EstimatorReport | None:
     """Price one (kind, strike) cell; errors name the cell ("kind @ K=strike: ...").
 
     ``factory`` fixes the model (constant vol when it has a ``sigma``) and
     caches drift builds. Alone, the cell runs as a one-strike table with
     Classic as its baseline, and its error is raised. With ``shared=(group,
-    cell)``, as the table engine calls it, run only the group's chunks on
-    their pre-drawn increments, add their moments and the elapsed time to
-    ``cell`` and return None; ``n_paths`` and ``workers`` are then not used.
+    run)``, as the table engine calls it once per measure with the run's
+    first cell, simulate the group's chunks once for every cell of ``run``,
+    add each its moments and the elapsed time and return None; errors then
+    name no cell, and ``n_paths`` and ``workers`` are not used.
     """
     validate(params)
     factory = factory or DriftFactory(params, grid)
@@ -600,42 +596,49 @@ def run_estimator(
         classic_variance = _report(cells[-1], factory, n_paths, seed, None).variance
         return _report(cells[0], factory, n_paths, seed, classic_variance)
 
-    group, cell = shared
-    drift = cell.drift[0]
+    group, run = shared
     t0 = time.perf_counter()
     if kind is EstimatorKind.ANTITHETIC:
         group.mirror()
-    cell.chunks += _map_chunks(
-        lambda j: _chunk_moments(kind, spec, factory, drift, group.sizes[j],
+    chunks = _map_chunks(
+        lambda j: _chunk_moments(run, factory, run[0].drift[0], group.sizes[j],
                                  sim.RngSpec(seed, group.first + j), group.increments[j]),
         range(len(group.sizes)), group.pool,
     )
-    cell.wall += time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    for cell, moments in zip(run, zip(*chunks)):
+        cell.chunks += moments
+        cell.wall += wall
     return None
 
 
 def _run_cells(
     cells: list[_TableCell], factory: DriftFactory, n_paths: int, seed: int, workers: int
 ) -> None:
-    """Build every cell's drift, then run each distinct estimator
-    (``_estimator``) once on the same chunk streams: walk the chunks in groups
-    of ``workers``, drawing a group's increments once and running every
-    estimator on them before drawing the next. A later cell of the same
-    estimator takes the first one's moments, wall time and error. A failed
-    cell keeps its error and stops."""
-    runs, aliases = {}, []
+    """Build every cell's drift, then simulate each chunk once per measure
+    (``_measure``) for all the cells on it: walk the chunks in groups of
+    ``workers``, drawing a group's increments once and running every measure
+    on them before drawing the next. A failed build or run gives each of its
+    cells the error under the cell's own name, and the cell stops."""
+
+    def fail(failed: list[_TableCell], e: OptimError | DomainError) -> None:
+        for cell in failed:
+            cell.error = type(e)(f"{cell.kind.value} @ K={cell.spec.strike}: {e}")
+
+    runs: dict = {}
     for cell in cells:
         try:
             if factory.route(cell.kind, cell.spec)[0] is not None:
-                cell.drift = factory.build(cell.kind, cell.spec)
+                drift, secs = factory.build(cell.kind, cell.spec)
+                # a zero schedule moves no path, and every log-weight stays exactly 0
+                zero = drift.mode in (_DET, _ADA) and not np.any((drift.h1_dot, drift.h2_dot))
+                cell.drift = (None if zero else drift, secs)
         except (OptimError, DomainError) as e:
-            cell.error = type(e)(f"{_label(cell.kind, cell.spec.strike)}: {e}")
+            fail([cell], e)
             continue
-        rep = runs.setdefault(_estimator(cell), cell)
-        if rep is not cell:
-            aliases.append((cell, rep))
-    # Antithetic cells go last: they replace the group's blocks by mirrored pairs
-    live = sorted(runs.values(), key=lambda c: c.kind is EstimatorKind.ANTITHETIC)
+        runs.setdefault(_measure(cell), []).append(cell)
+    # Antithetic goes last: it replaces the group's blocks by mirrored pairs
+    live = sorted(runs.values(), key=lambda run: run[0].kind is EstimatorKind.ANTITHETIC)
     sizes, grid, step = _chunk_sizes(n_paths), factory.grid, max(workers, 1)
     with _thread_pool(workers) as pool:
         for first in range(0, len(sizes), step):
@@ -647,21 +650,17 @@ def _run_cells(
                 range(first, min(first + step, len(sizes))), pool,
             ), pool)
             draw_s = time.perf_counter() - t0
-            live = [c for c in live if c.error is None]
-            for cell in live:
-                cell.wall += draw_s / len(live)
+            live = [run for run in live if run[0].error is None]
+            for run in live:
+                for cell in run:
+                    cell.wall += draw_s / len(live)
                 try:
-                    run_estimator(cell.kind, cell.spec, factory.params, grid, n_paths, seed,
-                                  factory=factory, shared=(group, cell))
+                    run_estimator(run[0].kind, run[0].spec, factory.params, grid, n_paths,
+                                  seed, factory=factory, shared=(group, run))
                 except (OptimError, DomainError) as e:
-                    if cell.kind is EstimatorKind.CLASSIC:
-                        raise
-                    cell.error = e
-    for cell, rep in aliases:
-        cell.chunks, cell.wall = rep.chunks, rep.wall
-        if rep.error is not None:
-            reason = str(rep.error).removeprefix(f"{_label(rep.kind, rep.spec.strike)}: ")
-            cell.error = type(rep.error)(f"{_label(cell.kind, cell.spec.strike)}: {reason}")
+                    fail(run, e)
+                    if any(cell.kind is EstimatorKind.CLASSIC for cell in run):
+                        raise run[0].error from e
 
 
 def _table(
@@ -707,13 +706,14 @@ def run_table(
 
     Every cell runs on the same chunk streams, so the table draws each chunk's
     increments once: it walks the chunks in groups of ``workers`` and runs
-    every cell on a group before drawing the next. Cells that are the same
-    estimator (an identical drift schedule, or a zero one, which is Classic)
-    run once. A run's ``wall_time_s`` is the elapsed time of its own chunk
-    work plus an equal share of each group's draw time, and every cell of
-    that estimator reports it. Cell failures are reported inline (nan
-    metrics, error message "kind @ K=strike: reason" kept) without aborting
-    the table.
+    every cell on a group before drawing the next. A chunk's paths are
+    simulated once per measure, whatever the strike: once without drift (the
+    cells with none or a zero one), once in mirrored pairs (Antithetic) and
+    once per distinct fixed schedule. A run's ``wall_time_s`` is the elapsed
+    time of its own chunk work plus an equal share of each group's draw
+    time, and every cell on that measure reports it. Cell failures are
+    reported inline (nan metrics, error message "kind @ K=strike: reason"
+    kept) without aborting the table.
     """
     return _table(payoff_kind, strikes, kinds, DriftFactory(params, grid),
                   n_paths, seed, workers)

@@ -140,8 +140,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"invalid value for key 'n_paths': {cfg.n_paths} (need >= 3)")
     if cfg.workers < 1:
         raise DomainError(f"invalid value for key 'workers': {cfg.workers} (need >= 1)")
+    if cfg.seed < 0:
+        raise DomainError(f"invalid value for key 'seed': {cfg.seed} (need >= 0)")
     if not all(0.0 <= k < np.inf for k in cfg.strikes):
         raise DomainError(f"invalid value for key 'strikes': {cfg.strikes} (need finite >= 0)")
+    for key in ("strikes", "kinds"):
+        entries = getattr(cfg, key)
+        if len(set(entries)) < len(entries):
+            raise DomainError(f"invalid value for key '{key}': {entries} (repeated entry)")
     if not 0.0 < cfg.sigma_const < np.inf:
         raise DomainError(
             f"invalid value for key 'sigma_const': {cfg.sigma_const} (need finite > 0)"

@@ -24,7 +24,7 @@ from hestonis.errors import DomainError, OptimError
 from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
-from hestonis import sim
+from hestonis import payoff as payoff_mod, sim
 from hestonis.payoff import evaluate
 
 
@@ -184,15 +184,18 @@ def test_const_vol_table_draws_once_per_chunk_for_any_workers(params, small_grid
 
 
 def test_const_vol_cells_do_not_depend_on_their_neighbours(params, small_grid):
-    table = bench.run_appendix_table([50.0], CONST_VOL_KINDS, params, 0.25,
+    strikes = [50.0, 70.0]
+    table = bench.run_appendix_table(strikes, CONST_VOL_KINDS, params, 0.25,
                                      small_grid, N_SMALL, SEED)
     for kinds in ([EstimatorKind.BS], [EstimatorKind.ANTITHETIC, EstimatorKind.CLASSIC],
                   [EstimatorKind.CONTROL_GEOMETRIC, EstimatorKind.BS]):
-        alone = bench.run_appendix_table([50.0], kinds, params, 0.25, small_grid,
-                                         N_SMALL, SEED)
-        for rep in alone:
-            (same,) = [r for r in table if r.kind == rep.kind]
-            assert _rows([rep]) == _rows([same]), (rep.kind, kinds)
+        for some in ([50.0], [70.0], strikes):
+            alone = bench.run_appendix_table(some, kinds, params, 0.25, small_grid,
+                                             N_SMALL, SEED)
+            assert len(alone) == len(kinds) * len(some)
+            for rep in alone:
+                (same,) = [r for r in table if (r.kind, r.strike) == (rep.kind, rep.strike)]
+                assert _rows([rep]) == _rows([same]), (rep.kind, rep.strike, kinds, some)
 
 
 def test_const_vol_table_reports_heston_only_kinds_inline(params, small_grid):
@@ -338,9 +341,10 @@ def test_zero_drift_is_classic_bit_for_bit(params, seed, n, strike, payoff, mode
     for sigma, payoff_kind in ((None, payoff), (0.25, PayoffKind.ARITHMETIC_ASIAN_CALL)):
         factory = bench.DriftFactory(params, GRID16, sigma)
         spec = make_payoff(payoff_kind, strike, 1.0)
-        classic, drifted = (bench._chunk_moments(kind, spec, factory, drift, n, rng, inc)
-                            for kind, drift in ((EstimatorKind.CLASSIC, None),
-                                                (EstimatorKind.BS, zero)))
+        (classic,), (drifted,) = (
+            bench._chunk_moments([bench._TableCell(kind, spec)], factory, drift, n, rng, inc)
+            for kind, drift in ((EstimatorKind.CLASSIC, None), (EstimatorKind.BS, zero))
+        )
         assert _bits(classic) == _bits(drifted)
 
 
@@ -385,24 +389,56 @@ def test_rows_with_shared_estimators_do_not_depend_on_workers(params, n):
             assert wall["MDPsn_A", strike] == wall["BS_A", strike] > 0.0
 
 
+def _count_calls(monkeypatch, module, name, record):
+    """Patch ``module.name`` to append ``record(args, kwargs)`` before each call."""
+    orig = getattr(module, name)
+    calls = []
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: calls.append(record(a, k)) or orig(*a, **k))
+    return calls
+
+
 def test_cells_with_one_estimator_simulate_once(params, monkeypatch):
-    drifted, runs = [], []
-    simulate_q, run_one = sim.simulate_q, bench.run_estimator
-    monkeypatch.setattr(sim, "simulate_q",
-                        lambda *a, **k: drifted.append(a[4]) or simulate_q(*a, **k))
-    monkeypatch.setattr(bench, "run_estimator",
-                        lambda *a, **k: runs.append(a[0].value) or run_one(*a, **k))
+    base = _count_calls(monkeypatch, sim, "simulate_p", lambda a, k: a[3].stream_offset)
+    drifted = _count_calls(monkeypatch, sim, "simulate_q", lambda a, k: a[4])
+    runs = _count_calls(monkeypatch, bench, "run_estimator", lambda a, k: a[0].value)
     reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
                         params, GRID16, N_SMALL, SEED)
     assert all(r.error == "" for r in reports)
+    assert base == [0]  # one chunk, and Classic at both strikes reads one simulation
     assert len(drifted) == 4  # BS and BS_A at each strike; MDPsn(_A) is BS(_A) there
-    assert sorted(runs) == ["BS", "BS", "BS_A", "BS_A", "Classic", "Classic"]
+    assert sorted(runs) == ["BS", "BS", "BS_A", "BS_A", "Classic"]  # one per measure
     drifted.clear()
     reports = run_table(PayoffKind.VOL_INDICATOR_SWAP, [10.0], FROZEN_VOL_KINDS[:3],
                         params, GRID16, N_SMALL, SEED)
     assert drifted == []  # the variance-payoff BS solve is zero at K=10: Classic
     rows = {r.kind: _rows([r])[0][1:] for r in reports}
     assert rows["BS"] == rows["BS_A"] == rows["Classic"]
+
+
+def test_const_vol_cells_on_one_measure_simulate_once(params, small_grid, monkeypatch):
+    monkeypatch.setattr(bench, "CHUNK_PATHS", 2_000)
+
+    def chunk(args, kwargs):
+        return args[3].stream_offset
+
+    base = _count_calls(monkeypatch, sim, "simulate_p", chunk)
+    pairs = _count_calls(monkeypatch, sim, "antithetic_pairs", chunk)
+    drifted = _count_calls(monkeypatch, sim, "simulate_q", chunk)
+    payoffs = _count_calls(monkeypatch, payoff_mod, "evaluate",
+                           lambda a, k: (a[0].kind, a[0].strike))
+    reports = bench.run_appendix_table([50.0, 70.0], CONST_VOL_KINDS, params, 0.25,
+                                       small_grid, 3_001, SEED)  # an odd partial chunk
+    assert all(r.error == "" for r in reports)
+    assert base == pairs == [0, 1]
+    assert sorted(drifted) == [0, 0, 1, 1]  # BS at each strike
+    # per chunk, one arithmetic payoff per strike on each of its three measures
+    # (Classic and ControlGeometric share the base one) and ControlGeometric's
+    # geometric payoff
+    for strike in (50.0, 70.0):
+        assert payoffs.count((PayoffKind.ARITHMETIC_ASIAN_CALL, strike)) == 2 * 3
+        assert payoffs.count((PayoffKind.GEOMETRIC_ASIAN_CALL, strike)) == 2
+    assert len(payoffs) == 2 * 2 * 4
 
 
 def test_a_shared_estimator_that_fails_names_each_cell(params, monkeypatch):
@@ -485,21 +521,19 @@ def _chunk_streams(n, grid):
     return streams
 
 
-#: Three chunks, the last one partial.
-N_MERGE = 2 * CHUNK_PATHS + 1_001
-
-
-def test_itm_variances_match_a_long_double_two_pass(params):
+def test_itm_variances_match_a_long_double_two_pass(params, monkeypatch):
     # BS_A2 at K=30 has a variance hundreds of times below Classic's next to
     # the same squared mean: the case that raw sums of squares lose digits on
+    monkeypatch.setattr(bench, "CHUNK_PATHS", 2_000)
+    n = 2 * bench.CHUNK_PATHS + 1_001  # three chunks, the last one partial
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 30.0, 1.0)
     kinds = [EstimatorKind.CLASSIC, EstimatorKind.BS_A2]
     tables = [run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [30.0], kinds, params, GRID16,
-                        N_MERGE, SEED, workers=workers) for workers in (1, 2)]
+                        n, SEED, workers=workers) for workers in (1, 2)]
     assert _stable_rows(tables[0]) == _stable_rows(tables[1])
     drift, _ = bench.DriftFactory(params, GRID16).build(EstimatorKind.BS_A2, spec)
     values = {"Classic": [], "BS_A2": []}
-    for rng, inc in _chunk_streams(N_MERGE, GRID16):
+    for rng, inc in _chunk_streams(n, GRID16):
         p = sim.simulate_p(params, GRID16, inc[0].shape[0], rng, inc)
         values["Classic"].append(evaluate(spec, params, GRID16, p.x))
         q = sim.simulate_q(params, GRID16, inc[0].shape[0], rng, drift, inc)

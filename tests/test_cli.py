@@ -119,6 +119,32 @@ def test_non_finite_strikes_and_sigma_const_are_config_errors(tmp_path, capsys, 
     assert err.startswith(f"config error: invalid value for key '{key}'")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_negative_seeds_are_config_errors(tmp_path, capsys, seed, flag):
+    if flag:
+        source = ["--seed", str(seed)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        source = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "price", *source, "--paths", "400", "--steps", "16")
+    assert code == 1 and out == ""
+    assert err.startswith("config error: invalid value for key 'seed'")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("strikes", "50,50"), ("strikes", "60,50,60.0"), ("kinds", "BS,BS"),
+    ("kinds", "Classic,BS,Classic"),
+])
+def test_repeated_strikes_or_kinds_are_config_errors(capsys, key, value):
+    code, out, err = run_cli(capsys, "price", f"--{key}", value, "--paths", "400",
+                             "--steps", "16")
+    assert code == 1 and out == ""
+    assert err.startswith(f"config error: invalid value for key '{key}'")
+    assert "repeated entry" in err
+
+
 def test_workers_reach_the_constant_vol_table(monkeypatch, capsys):
     seen = {}
 
