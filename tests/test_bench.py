@@ -390,7 +390,8 @@ def test_rows_with_shared_estimators_do_not_depend_on_workers(params, n):
 
 
 def _count_calls(monkeypatch, module, name, record):
-    """Patch ``module.name`` to append ``record(args, kwargs)`` before each call."""
+    """Patch ``module.name`` to append ``record(args, kwargs)`` to the returned list
+    before each call."""
     orig = getattr(module, name)
     calls = []
     monkeypatch.setattr(module, name,
