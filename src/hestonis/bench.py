@@ -4,10 +4,11 @@ estimator.
 
 Paths are generated in fixed-size chunks with independent Philox streams
 (seed, chunk index), so results are identical no matter how many workers
-consume the chunks. Each chunk is simulated once per measure (no drift,
-mirrored pairs, or one drift schedule), and every cell on that measure reads
-it. Reductions take per-chunk moments (count, mean, M2) and merge them in
-chunk order. One engine runs every table on the one path
+consume the chunks; every worker count, one included, runs them on one
+thread pool of that many threads. Each chunk is simulated once per measure
+(no drift, mirrored pairs, or one drift schedule), and every cell on that
+measure reads it. Reductions take per-chunk moments (count, mean, M2) and
+merge them in chunk order. One engine runs every table on the one path
 kernel of ``sim``: the Heston tables and the constant-volatility
 arithmetic-Asian comparison differ only in the kernel's variance (frozen at
 ``sigma`` squared for the latter) and in the kinds their table offers
@@ -19,7 +20,6 @@ from __future__ import annotations
 import enum
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -364,17 +364,6 @@ def _chunk_sizes(n_paths: int) -> list[int]:
     return sizes
 
 
-def _thread_pool(workers: int):
-    """A pool of ``workers`` threads, or a context yielding None for one worker."""
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-
-
-def _map_chunks(fn, chunks, pool: ThreadPoolExecutor | None) -> list:
-    if pool is None:
-        return [fn(i) for i in chunks]
-    return list(pool.map(fn, chunks))
-
-
 @dataclass
 class _Moments:
     """Count, mean and sum of squared deviations from the mean (M2) of the
@@ -486,18 +475,18 @@ class _ChunkGroup:
     first: int
     sizes: list[int]
     increments: list[tuple[np.ndarray, np.ndarray]]
-    pool: ThreadPoolExecutor | None
+    pool: ThreadPoolExecutor
 
     def mirror(self) -> None:
         """Replace each chunk's block by the antithetic pairs of its first
         ceil(size / 2) rows, which takes no more memory than the block and
         frees it: every other measure must run before this."""
-        self.increments = _map_chunks(
+        self.increments = list(self.pool.map(
             lambda j: sim.mirror_increments(
                 *(a[: (self.sizes[j] + 1) // 2] for a in self.increments[j])
             ),
-            range(len(self.sizes)), self.pool,
-        )
+            range(len(self.sizes)),
+        ))
 
 
 @dataclass(eq=False)
@@ -568,48 +557,29 @@ def _report(
 def run_estimator(
     kind: EstimatorKind,
     spec: PayoffSpec,
-    params: HestonParams,
-    grid: TimeGrid,
-    n_paths: int,
+    factory: DriftFactory,
     seed: int,
-    workers: int = 1,
-    factory: DriftFactory | None = None,
-    shared: tuple[_ChunkGroup, list[_TableCell]] | None = None,
-) -> EstimatorReport | None:
-    """Price one (kind, strike) cell; errors name the cell ("kind @ K=strike: ...").
-
-    ``factory`` fixes the model (constant vol when it has a ``sigma``) and
-    caches drift builds. Alone, the cell runs as a one-strike table with
-    Classic as its baseline, and its error is raised. With ``shared=(group,
-    run)``, as the table engine calls it once per measure with the run's
-    first cell, simulate the group's chunks once for every cell of ``run``,
-    add each its moments and the elapsed time and return None; errors then
-    name no cell, and ``n_paths`` and ``workers`` are not used.
+    group: _ChunkGroup,
+    run: list[_TableCell],
+) -> None:
+    """Simulate ``group``'s chunks once under the measure of ``run``, whose
+    first cell is (``kind``, ``spec``), and add each cell its moments and the
+    elapsed time. ``_run_cells`` calls it once per measure; errors name no
+    cell. ``kind`` and ``spec`` stay the first two parameters: perfbench's
+    tracer reads them there to label the run.
     """
-    validate(params)
-    factory = factory or DriftFactory(params, grid)
-    if shared is None:
-        cells = [_TableCell(kind, spec), _TableCell(EstimatorKind.CLASSIC, spec)]
-        _run_cells(cells, factory, n_paths, seed, workers)
-        if cells[0].error is not None:
-            raise cells[0].error
-        classic_variance = _report(cells[-1], factory, n_paths, seed, None).variance
-        return _report(cells[0], factory, n_paths, seed, classic_variance)
-
-    group, run = shared
     t0 = time.perf_counter()
     if kind is EstimatorKind.ANTITHETIC:
         group.mirror()
-    chunks = _map_chunks(
+    chunks = list(group.pool.map(
         lambda j: _chunk_moments(run, factory, run[0].drift[0], group.sizes[j],
                                  sim.RngSpec(seed, group.first + j), group.increments[j]),
-        range(len(group.sizes)), group.pool,
-    )
+        range(len(group.sizes)),
+    ))
     wall = time.perf_counter() - t0
     for cell, moments in zip(run, zip(*chunks)):
         cell.chunks += moments
         cell.wall += wall
-    return None
 
 
 def _run_cells(
@@ -617,9 +587,10 @@ def _run_cells(
 ) -> None:
     """Build every cell's drift, then simulate each chunk once per measure
     (``_measure``) for all the cells on it: walk the chunks in groups of
-    ``workers``, drawing a group's increments once and running every measure
-    on them before drawing the next. A failed build or run gives each of its
-    cells the error under the cell's own name, and the cell stops."""
+    ``workers`` on one pool of ``workers`` threads, drawing a group's
+    increments once and running every measure on them before drawing the
+    next. A failed build or run gives each of its cells the error under the
+    cell's own name, and the cell stops."""
 
     def fail(failed: list[_TableCell], e: OptimError | DomainError) -> None:
         for cell in failed:
@@ -639,24 +610,23 @@ def _run_cells(
         runs.setdefault(_measure(cell), []).append(cell)
     # Antithetic goes last: it replaces the group's blocks by mirrored pairs
     live = sorted(runs.values(), key=lambda run: run[0].kind is EstimatorKind.ANTITHETIC)
-    sizes, grid, step = _chunk_sizes(n_paths), factory.grid, max(workers, 1)
-    with _thread_pool(workers) as pool:
-        for first in range(0, len(sizes), step):
+    sizes, grid = _chunk_sizes(n_paths), factory.grid
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, len(sizes), workers):
             t0 = time.perf_counter()
-            group = _ChunkGroup(first, sizes[first:first + step], _map_chunks(
+            group = _ChunkGroup(first, sizes[first:first + workers], list(pool.map(
                 lambda j: sim.normal_increments(
                     sim.RngSpec(seed, j), sizes[j], grid.n_steps, grid.dt
                 ),
-                range(first, min(first + step, len(sizes))), pool,
-            ), pool)
+                range(first, min(first + workers, len(sizes))),
+            )), pool)
             draw_s = time.perf_counter() - t0
             live = [run for run in live if run[0].error is None]
             for run in live:
                 for cell in run:
                     cell.wall += draw_s / len(live)
                 try:
-                    run_estimator(run[0].kind, run[0].spec, factory.params, grid, n_paths,
-                                  seed, factory=factory, shared=(group, run))
+                    run_estimator(run[0].kind, run[0].spec, factory, seed, group, run)
                 except (OptimError, DomainError) as e:
                     fail(run, e)
                     if any(cell.kind is EstimatorKind.CLASSIC for cell in run):
@@ -674,6 +644,7 @@ def _table(
 ) -> list[EstimatorReport]:
     if not kinds:
         return []
+    validate(factory.params)
     rows = []
     for strike in sorted(strikes):
         spec = make_payoff(payoff_kind, strike, factory.grid.t_end)
@@ -705,11 +676,12 @@ def run_table(
     """One report per (strike, kind), matched seeds per strike, sorted by strike.
 
     Every cell runs on the same chunk streams, so the table draws each chunk's
-    increments once: it walks the chunks in groups of ``workers`` and runs
-    every cell on a group before drawing the next. A chunk's paths are
-    simulated once per measure, whatever the strike: once without drift (the
-    cells with none or a zero one), once in mirrored pairs (Antithetic) and
-    once per distinct fixed schedule. A run's ``wall_time_s`` is the elapsed
+    increments once: it walks the chunks in groups of ``workers`` on one
+    pool of ``workers`` threads (one included) and runs every cell on a group
+    before drawing the next. A chunk's paths are simulated once per measure,
+    whatever the strike: once without drift (the cells with none or a zero
+    one), once in mirrored pairs (Antithetic) and once per distinct fixed
+    schedule. A run's ``wall_time_s`` is the elapsed
     time of its own chunk work plus an equal share of each group's draw
     time, and every cell on that measure reports it. Cell failures are
     reported inline (nan metrics, error message "kind @ K=strike: reason"
@@ -754,10 +726,10 @@ def run_appendix_estimator(
     n_paths: int,
     seed: int,
 ) -> EstimatorReport:
-    """One cell of the constant-vol arithmetic-Asian table; raises its error."""
-    spec = make_payoff(PayoffKind.ARITHMETIC_ASIAN_CALL, strike, grid.t_end)
-    return run_estimator(kind, spec, params, grid, n_paths, seed,
-                         factory=DriftFactory(params, grid, sigma))
+    """The one row of ``run_appendix_table([strike], [kind], ...)``: a
+    failure is in its ``error``."""
+    (row,) = run_appendix_table([strike], [kind], params, sigma, grid, n_paths, seed)
+    return row
 
 
 def run_appendix_table(

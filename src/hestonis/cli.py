@@ -1,7 +1,9 @@
 """Command-line front end: price tables, drift-schedule dumps, and self tests.
 
-Configuration is a flat key=value file; every key can be overridden by a flag.
-Exit codes: 0 ok, 1 config error, 2 optimizer failure, 3 self-test failure.
+Configuration is a flat key=value file; every key can be overridden by a flag,
+whose value is parsed as the same key's in the file.
+Exit codes: 0 ok, 1 config error (a malformed flag included), 2 optimizer
+failure, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -85,12 +87,24 @@ class RunConfig:
             raise DomainError(f"invalid value for key 'payoff': {self.payoff!r}")
 
 
+def _entries(val: str) -> list[str]:
+    """The entries of a comma-separated list; an empty one is malformed."""
+    entries = [x.strip() for x in val.split(",")]
+    if "" in entries:
+        raise ValueError("empty list entry")
+    return entries
+
+
 _PARSERS = {"float": float, "int": int, "str": str,
             "bool": lambda val: val.lower() in ("1", "true", "yes", "on"),
-            "list[float]": lambda val: [float(x) for x in val.split(",") if x.strip()],
-            "list[str]": lambda val: [x.strip() for x in val.split(",") if x.strip()]}
+            "list[float]": lambda val: [float(x) for x in _entries(val)],
+            "list[str]": _entries}
 #: config key -> parser of its value, by the type RunConfig declares for it
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+#: flag (its argparse dest) -> the config key it sets, parsed as in a config file
+_FLAG_KEYS = {"strikes": "strikes", "kinds": "kinds", "paths": "n_paths", "steps": "n_steps",
+              "seed": "seed", "out": "out", "preset": "preset", "workers": "workers",
+              "payoff": "payoff"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -122,17 +136,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, val in parse_config_file(args.config).items():
             setattr(cfg, key, val)
-    if args.preset is not None:
-        cfg.preset = args.preset
+    flags = {key: _coerce(key, getattr(args, dest), where=f"--{dest}")
+             for dest, key in _FLAG_KEYS.items() if getattr(args, dest) is not None}
+    cfg.preset = flags.pop("preset", cfg.preset)
     _apply_preset(cfg)  # preset fills defaults; explicit flags win below
-    overrides = {
-        "strikes": args.strikes, "kinds": args.kinds, "n_paths": args.paths,
-        "n_steps": args.steps, "seed": args.seed, "out": args.out,
-        "workers": args.workers, "payoff": getattr(args, "payoff", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
+    for key, val in flags.items():
+        setattr(cfg, key, val)
     if getattr(args, "stable_output", False):
         cfg.stable_output = True
     validate(cfg.params())  # error messages name the offending key
@@ -306,18 +315,15 @@ def main(argv: list[str] | None = None) -> int:
 
     def add_common(sp):
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--strikes", type=lambda s: [float(x) for x in s.split(",")],
-                        default=None, help="comma-separated strikes")
-        sp.add_argument("--kinds", type=lambda s: [x.strip() for x in s.split(",")],
-                        default=None, help="comma-separated estimator kinds")
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--preset", choices=list(PRESETS), default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--payoff", default=None,
-                        choices=[k.value for k in PayoffKind])
+        sp.add_argument("--strikes", help="comma-separated strikes")
+        sp.add_argument("--kinds", help="comma-separated estimator kinds")
+        sp.add_argument("--paths")
+        sp.add_argument("--steps")
+        sp.add_argument("--seed")
+        sp.add_argument("--out")
+        sp.add_argument("--preset", help=", ".join(PRESETS))
+        sp.add_argument("--workers")
+        sp.add_argument("--payoff", help=", ".join(k.value for k in PayoffKind))
         sp.add_argument("--stable-output", action="store_true", dest="stable_output",
                         help="zero the timing columns for byte-stable CSV")
 
@@ -332,7 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     p_self = sub.add_parser("selftest", help="run reduced-scale verification checks")
     add_common(p_self)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse printed the help (0) or a usage error
+        return 1 if e.code else 0
     try:
         cfg = build_config(args)
     except (DomainError, OSError) as e:

@@ -73,10 +73,6 @@ class PathBatch:
     grid: TimeGrid
     log_inv_weight: np.ndarray | None = None
 
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
-
 
 #: Rows drawn, transformed and stored per pass of ``normal_increments``.
 DRAW_ROWS = 256
@@ -101,7 +97,10 @@ def normal_increments(
     sdt = np.sqrt(dt)
     for r in range(0, n_paths, DRAW_ROWS):
         z = gen.random((min(DRAW_ROWS, n_paths - r), 2 * n_steps))
-        z += 2.0**-54  # keep uniforms strictly inside (0, 1) for ndtri
+        # ndtri needs uniforms strictly inside (0, 1): the shift lifts 0, and
+        # the clamp pulls back the draw 1 - 2**-53, which the shift rounds to 1
+        z += 2.0**-54
+        np.minimum(z, 1.0 - 2.0**-53, out=z)
         ndtri(z, out=z)
         z *= sdt
         dw[r:r + z.shape[0]] = z[:, :n_steps]

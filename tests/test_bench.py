@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import re
 import time
 
 import numpy as np
@@ -15,12 +16,11 @@ from hestonis.bench import (
     geometric_asian_price_bs,
     reports_to_csv,
     run_appendix_estimator,
-    run_estimator,
     run_table,
 )
 from hestonis.drift_bs import bs_beta, bs_drift
 from hestonis.drift_mdp import mdp_small_time_drift
-from hestonis.errors import DomainError, OptimError
+from hestonis.errors import DomainError
 from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
@@ -42,6 +42,12 @@ def spec50():
     return make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
 
 
+def _cell(kind, spec, params, grid, n_paths, workers=1):
+    """One cell priced alone: the one row of a one-strike, one-kind table."""
+    (row,) = run_table(spec.kind, [spec.strike], [kind], params, grid, n_paths, SEED, workers)
+    return row
+
+
 def test_kind_names_round_trip():
     for kind in EstimatorKind:
         assert EstimatorKind.from_name(kind.value) is kind
@@ -50,22 +56,22 @@ def test_kind_names_round_trip():
 
 
 def test_same_seed_identical_reports(params, small_grid, spec50):
-    a = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, N_SMALL, SEED)
-    b = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, N_SMALL, SEED)
+    a = _cell(EstimatorKind.CLASSIC, spec50, params, small_grid, N_SMALL)
+    b = _cell(EstimatorKind.CLASSIC, spec50, params, small_grid, N_SMALL)
     assert a.price == b.price and a.variance == b.variance
     assert a.var_reduction == 1.0
 
 
 def test_workers_do_not_change_results(params, small_grid, spec50):
-    a = run_estimator(EstimatorKind.BS, spec50, params, small_grid, 60_000, SEED, workers=1)
-    b = run_estimator(EstimatorKind.BS, spec50, params, small_grid, 60_000, SEED, workers=4)
+    a = _cell(EstimatorKind.BS, spec50, params, small_grid, 60_000, workers=1)
+    b = _cell(EstimatorKind.BS, spec50, params, small_grid, 60_000, workers=4)
     assert a.price == b.price
     assert a.variance == b.variance
     assert a.prob_positive == b.prob_positive
 
 
 def test_antithetic_variance_convention(params, small_grid, spec50):
-    rep = run_estimator(EstimatorKind.ANTITHETIC, spec50, params, small_grid, N_SMALL, SEED)
+    rep = _cell(EstimatorKind.ANTITHETIC, spec50, params, small_grid, N_SMALL)
     batch = sim.antithetic_pairs(params, small_grid, N_SMALL, sim.RngSpec(SEED, 0))
     g = evaluate(spec50, params, small_grid, batch.x, batch.v)
     pair = 0.5 * (g[0::2] + g[1::2])
@@ -75,8 +81,8 @@ def test_antithetic_variance_convention(params, small_grid, spec50):
 
 
 def test_weighted_probability_estimates_base_probability(params, small_grid, spec50):
-    classic = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, 30_000, SEED)
-    drifted = run_estimator(EstimatorKind.BS, spec50, params, small_grid, 30_000, SEED)
+    classic = _cell(EstimatorKind.CLASSIC, spec50, params, small_grid, 30_000)
+    drifted = _cell(EstimatorKind.BS, spec50, params, small_grid, 30_000)
     # weighted indicator is an unbiased estimate of the same probability
     assert drifted.prob_positive == pytest.approx(classic.prob_positive, abs=0.02)
 
@@ -111,11 +117,11 @@ def test_run_table_reports_cell_failures_inline(params, small_grid):
 
 
 def test_csv_header_and_stability(params, small_grid, spec50):
-    rep = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, 500, SEED)
+    rep = _cell(EstimatorKind.CLASSIC, spec50, params, small_grid, 500)
     text = reports_to_csv([rep], stable_output=True)
     assert text.splitlines()[0] == CSV_COLUMNS
     again = reports_to_csv(
-        [run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, 500, SEED)],
+        [_cell(EstimatorKind.CLASSIC, spec50, params, small_grid, 500)],
         stable_output=True,
     )
     assert text == again
@@ -150,10 +156,10 @@ def test_appendix_estimators_price_consistently(params, small_grid):
 
 
 def test_appendix_rejects_heston_only_kinds(params, small_grid):
-    with pytest.raises(DomainError, match=r"^LDPsn @ K=50.0: .*constant-vol"):
-        run_appendix_estimator(
-            EstimatorKind.LDP_SN, 50.0, params, 0.25, small_grid, 1_000, SEED
-        )
+    rep = run_appendix_estimator(EstimatorKind.LDP_SN, 50.0, params, 0.25, small_grid,
+                                 1_000, SEED)
+    assert re.match(r"LDPsn @ K=50.0: .*constant-vol", rep.error)
+    assert np.isnan(rep.price)
 
 
 CONST_VOL_KINDS = [EstimatorKind.CLASSIC, EstimatorKind.ANTITHETIC,
@@ -232,9 +238,7 @@ def test_run_table_matches_single_cell_runs_bit_for_bit(params, small_grid, spec
     monkeypatch.setattr(bench, "CHUNK_PATHS", 2_000)
     # an odd partial last chunk, alone in the last group at two workers
     n = 2 * bench.CHUNK_PATHS + 1001
-    base = run_estimator(EstimatorKind.CLASSIC, spec50, params, small_grid, n, SEED)
-    single = [base] + [run_estimator(kind, spec50, params, small_grid, n, SEED)
-                       for kind in kinds[1:]]
+    single = [_cell(kind, spec50, params, small_grid, n) for kind in kinds]
     for workers in (1, 2):
         t0 = time.perf_counter()
         table = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0], kinds, params,
@@ -256,16 +260,16 @@ def test_overflowing_weights_mask_zero_payoffs():
     assert np.array_equal(pos, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_chunk_sum_is_a_cell_error(params, small_grid, spec50, monkeypatch):
     h = np.full(small_grid.n_steps + 1, 500.0)  # drives S to overflow, weights to 0
     oversized = DriftSchedule(DriftMode.DETERMINISTIC, h, h.copy(), provenance="test")
     monkeypatch.setattr(bench.DriftFactory, "build", lambda self, kind, spec: (oversized, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OptimError, match=r"^BS @ K=50.0: non-finite"):
-            run_estimator(EstimatorKind.BS, spec50, params, small_grid, 500, SEED)
-        reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
-                            [EstimatorKind.CLASSIC, EstimatorKind.BS], params,
-                            small_grid, 500, SEED)
+    alone = _cell(EstimatorKind.BS, spec50, params, small_grid, 500)
+    assert alone.error.startswith("BS @ K=50.0: non-finite") and np.isnan(alone.price)
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
+                        [EstimatorKind.CLASSIC, EstimatorKind.BS], params,
+                        small_grid, 500, SEED)
     by_kind = {r.kind: r for r in reports}
     assert by_kind["BS"].error.startswith("BS @ K=50.0: non-finite")
     assert np.isnan(by_kind["BS"].price)
@@ -442,14 +446,14 @@ def test_const_vol_cells_on_one_measure_simulate_once(params, small_grid, monkey
     assert len(payoffs) == 2 * 2 * 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_shared_estimator_that_fails_names_each_cell(params, monkeypatch):
     h = np.full(GRID16.n_steps + 1, 500.0)  # drives S to overflow, weights to 0
     oversized = DriftSchedule(DriftMode.DETERMINISTIC, h, h.copy(), provenance="test")
     monkeypatch.setattr(bench.DriftFactory, "build", lambda self, kind, spec: (oversized, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
-                            [EstimatorKind.CLASSIC, EstimatorKind.BS, EstimatorKind.MDP_SN],
-                            params, GRID16, 500, SEED)
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0],
+                        [EstimatorKind.CLASSIC, EstimatorKind.BS, EstimatorKind.MDP_SN],
+                        params, GRID16, 500, SEED)
     by_kind = {r.kind: r for r in reports}
     reason = by_kind["BS"].error.removeprefix("BS @ K=50.0: ")
     assert reason.startswith("non-finite")
@@ -482,6 +486,7 @@ def rows_unforced(params):
        mode=st.sampled_from([DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE]),
        size=st.floats(200.0, 2000.0))
 @settings(max_examples=12, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_oversized_drift_fails_only_its_own_cell(params, rows_unforced, victim, mode, size):
     # a drift this large sends every weight to 0, and S to overflow where it
     # grows fast enough; the cell must report that by name, and no other row
@@ -494,7 +499,7 @@ def test_an_oversized_drift_fails_only_its_own_cell(params, rows_unforced, victi
     def forced(self, k, spec):
         return (oversized, 0.0) if (k, spec.strike) == victim else build(self, k, spec)
 
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench.DriftFactory, "build", forced)
         reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
                             params, GRID16, 3000, SEED)

@@ -73,6 +73,9 @@ def test_unknown_key_and_bad_value_diagnostics(tmp_path):
     cfg.write_text("dump_drift = 1\n")  # removed key: nothing read it
     with pytest.raises(Exception, match="unknown config key 'dump_drift'"):
         parse_config_file(str(cfg))
+    cfg.write_text("strikes = 50,,60\n")  # as the flag --strikes 50,,60
+    with pytest.raises(Exception, match=r"key 'strikes': '50,,60' \(empty list entry\)"):
+        parse_config_file(str(cfg))
 
 
 @pytest.mark.parametrize("paths", ["0", "1", "2", "-5"])
@@ -143,6 +146,28 @@ def test_repeated_strikes_or_kinds_are_config_errors(capsys, key, value):
     assert code == 1 and out == ""
     assert err.startswith(f"config error: invalid value for key '{key}'")
     assert "repeated entry" in err
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--strikes", "abc", "strikes"), ("--strikes", "50,,60", "strikes"),
+    ("--kinds", "Classic,", "kinds"), ("--paths", "x", "n_paths"),
+    ("--payoff", "nope", "payoff"), ("--preset", "nope", "preset"),
+])
+def test_malformed_flags_are_config_errors(capsys, flag, value, key):
+    code, out, err = run_cli(capsys, "price", "--paths", "400", "--steps", "16", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("config error: ") and f"key '{key}'" in err
+
+
+def test_a_usage_error_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, "drift", "--strike", "50", "--steps", "16")
+    assert code == 1 and out == ""
+    assert "--kind" in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["price", "--help"]) == 0
+    assert "--strikes" in capsys.readouterr().out
 
 
 def test_workers_reach_the_constant_vol_table(monkeypatch, capsys):
@@ -303,8 +328,7 @@ def test_drift_dump_ldp_psi_positive(capsys):
 
 
 def test_bad_preset_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["price", "--preset", "table9"])
+    assert main(["price", "--preset", "table9"]) == 1
     cfg_err = main(["price", "--strikes", "50", "--kinds", "NoSuchKind", "--paths", "50"])
     assert cfg_err in (1, 2)
 

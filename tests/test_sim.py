@@ -233,6 +233,24 @@ def test_blocked_draw_is_the_one_shot_stream(grid, n):
         assert np.array_equal(block, want)
 
 
+def test_extreme_uniforms_give_finite_increments(grid, monkeypatch):
+    # 1 - 2**-53 is the largest double random() returns; shifted off 0 by
+    # 2**-54 it rounds to 1.0, where ndtri is +inf
+    top = 1.0 - 2.0**-53
+
+    class Extremes:
+        def random(self, shape):
+            z = np.zeros(shape)
+            z[:, ::2] = top
+            return z
+
+    monkeypatch.setattr(RngSpec, "generator", lambda self: Extremes())
+    dw, dw_perp = normal_increments(RngSpec(1), 3, grid.n_steps, grid.dt)
+    assert np.all(np.isfinite(dw)) and np.all(np.isfinite(dw_perp))
+    assert dw[0, 0] == ndtri(top) * np.sqrt(grid.dt) > 8.0 * np.sqrt(grid.dt)
+    assert dw[0, 1] == ndtri(2.0**-54) * np.sqrt(grid.dt)
+
+
 def _step_drifts(params, grid):
     """A deterministic, an adaptive and a per-step (BS_A2) schedule on ``grid``."""
     h = np.linspace(0.8, -0.3, grid.n_steps + 1)
