@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DomainError, OptimError
 from .measure import DriftMode, DriftSchedule
@@ -714,7 +714,7 @@ def geometric_asian_price_bs(
         return fwd * np.exp(mu + 0.5 * s * s)
     d2 = (mu - np.log(strike / fwd)) / s
     d1 = d2 + s
-    return float(fwd * np.exp(mu + 0.5 * s * s) * norm.cdf(d1) - strike * norm.cdf(d2))
+    return float(fwd * np.exp(mu + 0.5 * s * s) * ndtr(d1) - strike * ndtr(d2))
 
 
 def run_appendix_estimator(

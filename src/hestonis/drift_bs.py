@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import OptimError
 from .measure import DriftMode, DriftSchedule
@@ -30,6 +29,15 @@ from .varopt import VariationalProblem, reduced_basis_problem
 
 BETA_BRACKET_HI = 1.0e6
 BETA_BRACKET_LO = 1.0 + 1.0e-12
+
+# The root is solved in u = log(beta - 1) on [U_LO, U_HI]. At U_LO, exp(u) is
+# the smallest subnormal, so 1 + exp(u) rounds to 1 and g(U_LO) = v - 745 - c.
+U_LO = -745.0
+U_HI = float(np.log(BETA_BRACKET_HI))
+_B_HI = 1.0 + float(np.exp(U_HI))
+_LOG_B_HI = float(np.log(_B_HI))
+ROOT_PASSES = 16  # Newton passes per solve; BS_A2's states need at most 4 or 5
+ROOT_UTOL = 1e-12  # a path is done when its step is below ROOT_UTOL * (1 + |u|)
 
 
 @dataclass(frozen=True)
@@ -73,26 +81,11 @@ def call_curve(spec: PayoffSpec, params: HestonParams, shift: float = 0.0):
 
 
 def bs_root(v: float, c: float) -> float:
-    """Unique root of v b + log(b - 1) - log(b) - c = 0 on (1, inf)."""
-
-    def g(b):
-        return v * b + np.log(b - 1.0) - np.log(b) - c
-
-    def gp(b):
-        return v + 1.0 / (b - 1.0) - 1.0 / b
-
-    if g(BETA_BRACKET_LO) >= 0.0:
-        return BETA_BRACKET_LO  # deep in the money: root pinned at the bracket floor
-    hi = 2.0
-    while g(hi) < 0.0:
-        hi *= 4.0
-        if hi > BETA_BRACKET_HI:
-            raise OptimError(f"payoff unreachable: no root below beta = {BETA_BRACKET_HI}")
-    beta = optimize.brentq(g, BETA_BRACKET_LO, hi, xtol=1e-14, rtol=8.9e-16)
-    for _ in range(2):  # Newton polish to drive the residual to rounding level
-        beta -= g(beta) / gp(beta)
-        beta = min(max(beta, BETA_BRACKET_LO), BETA_BRACKET_HI)
-    return float(beta)
+    """Unique root of v b + log(b - 1) - log(b) - c = 0 on (1, inf): one path of the vector solve."""
+    beta = float(_vector_bs_root(np.array([v], dtype=float), np.array([c], dtype=float))[0])
+    if np.isnan(beta):
+        raise OptimError(f"payoff unreachable: no root below beta = {BETA_BRACKET_HI}")
+    return beta
 
 
 def bs_scale(s1: float, s2: float, c: float) -> float:
@@ -151,34 +144,67 @@ def bs_drift(
     )
 
 
+def _root_bracket(v: np.ndarray, c: np.ndarray):
+    """(pinned, unreachable): g(U_LO) >= 0 and g(U_HI) < 0, in closed form."""
+    pinned = v + U_LO - c >= 0.0
+    unreachable = v * _B_HI + U_HI - _LOG_B_HI - c < 0.0
+    return pinned, unreachable
+
+
+def _cold_start(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A start just above the root: u0 = h^-1(c - v b0) with h(u) = u - log(1 + e^u).
+
+    b0 solves v b - 1/b = c, and log(1 - 1/b) < -1/b puts beta >= b0, so
+    h(u) = c - v beta <= c - v b0 at the root. The bound is tight both for
+    beta -> 1 (v beta ~ v b0 ~ v) and for large beta (b0 ~ beta).
+    """
+    s = np.sqrt(c * c + 4.0 * v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b0 = np.where(c > 0.0, (c + s) / (2.0 * v), 2.0 / (s - c))
+        y = c - v * b0
+        u0 = np.where(y < 0.0, -np.log(np.expm1(-y)), U_HI)
+    return np.clip(u0, U_LO, U_HI)
+
+
 def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized root of v b + log(b-1) - log(b) = c over paths.
 
-    Solved in u = log(b - 1) (monotone, unbounded) by bisection; entries whose
-    root would exceed the beta bracket are returned as nan for the caller to
-    zero out.
+    Solved in u = log(b - 1), where g(u) = v (1 + e^u) + u - log(1 + e^u) - c
+    is increasing, by Newton steps kept inside the bisection bracket
+    (Numerical Recipes, 3rd ed., 9.4 rtsafe). A step goes to the bracket
+    midpoint only when it lands strictly outside (lo, hi): a converged path
+    sits on its own bracket end, and a closed test would bisect it back out.
+    Converged paths leave the working arrays. Roots pinned below U_LO return
+    BETA_BRACKET_LO; v <= 0 and roots beyond the beta bracket return nan
+    for the caller to zero out.
     """
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    lo = np.full(v.shape, -745.0)
-    hi = np.full(v.shape, np.log(BETA_BRACKET_HI))
-    bad = v <= 0.0
-    v_safe = np.where(bad, 1.0, v)
-
-    def g(u):
-        b = 1.0 + np.exp(u)
-        return v_safe * b + u - np.log(b) - c
-
-    unreachable = g(hi) < 0.0
-    pinned = g(lo) >= 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        lo = np.where(gm < 0.0, mid, lo)
-        hi = np.where(gm < 0.0, hi, mid)
-    beta = 1.0 + np.exp(0.5 * (lo + hi))
-    beta = np.where(pinned, BETA_BRACKET_LO, beta)
-    beta = np.where(unreachable | bad, np.nan, beta)
+    v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
+    pinned, unreachable = _root_bracket(v, c)
+    ok = v > 0.0
+    beta = np.where(pinned & ok, BETA_BRACKET_LO, np.nan)
+    idx = np.flatnonzero(ok & ~pinned & ~unreachable)
+    v, c = v.ravel()[idx], c.ravel()[idx]
+    u = _cold_start(v, c)
+    lo = np.full(u.shape, U_LO)
+    hi = np.full(u.shape, U_HI)
+    root = np.empty(u.shape)
+    live = np.arange(u.size)
+    for _ in range(ROOT_PASSES):
+        e = np.exp(u)
+        b = 1.0 + e
+        g = v * b + u - np.log(b) - c
+        below = g < 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        u_new = u - g / (v * e + 1.0 / b)
+        u_new = np.where((u_new < lo) | (u_new > hi), 0.5 * (lo + hi), u_new)
+        done = np.abs(u_new - u) <= ROOT_UTOL * (1.0 + np.abs(u))
+        root[live] = u_new
+        if done.all():
+            break
+        keep = ~done
+        live, u, v, c, lo, hi = live[keep], u_new[keep], v[keep], c[keep], lo[keep], hi[keep]
+    beta.flat[idx] = 1.0 + np.exp(root)
     return beta
 
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hestonis
 from hestonis import bench
 from hestonis.cli import (
     _ORACLES,
@@ -349,3 +354,12 @@ def test_selftest_quick_mode_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--paths", "1000", "--steps", "64")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(hestonis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hestonis.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import optimize
 
-from hestonis import varopt
+from hestonis import drift_bs, varopt
 from hestonis.bench import DriftFactory, EstimatorKind
 from hestonis.drift_bs import (
+    BETA_BRACKET_HI,
+    BETA_BRACKET_LO,
+    _root_bracket,
     bs_beta,
     bs_drift,
     bs_fully_adaptive,
@@ -147,12 +151,91 @@ class TestFullyAdaptive:
         assert np.all(m1 == 0.0) and np.all(m2 == 0.0)
 
 
+def _brentq_root(v, c):
+    """Reference root in beta by brentq: the bracket floor when pinned, nan when unreachable."""
+    if not v > 0.0:
+        return np.nan
+
+    def g(b):
+        return v * b + np.log(b - 1.0) - np.log(b) - c
+
+    if g(BETA_BRACKET_LO) >= 0.0:
+        return BETA_BRACKET_LO
+    if g(BETA_BRACKET_HI) < 0.0:
+        return np.nan
+    return optimize.brentq(g, BETA_BRACKET_LO, BETA_BRACKET_HI, xtol=1e-14, rtol=8.9e-16)
+
+
+def _assert_matches_brentq(v, c, rtol=1e-10):
+    got = _vector_bs_root(v, c)
+    want = np.array([_brentq_root(vi, ci) for vi, ci in zip(v, c)])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= rtol * want[finite])
+    return got
+
+
 def test_vector_root_matches_scalar():
     v = np.array([0.02, 0.4, 1.0, 3.0])
     c = np.array([-0.3, 0.1, 2.0 - np.log(2.0), 1.0])
-    betas = _vector_bs_root(v, c)
+    betas = _assert_matches_brentq(v, c)
     for vi, ci, bi in zip(v, c, betas):
-        assert bi == pytest.approx(bs_root(vi, ci), rel=1e-10, abs=1e-10)
+        assert bs_root(vi, ci) == bi
+
+
+def test_vector_root_matches_brentq_across_regimes():
+    v_grid = np.array([1e-6, 1e-3, 0.02, 1.0, 50.0])
+    c_grid = np.array([-1000.0, -745.0, -100.0, -30.0, -5.0, -0.5, 0.0, 0.3, 2.0, 10.0, 3e3])
+    v, c = (a.ravel() for a in np.meshgrid(v_grid, c_grid))
+    # roots near the top of the bracket, from c = v beta + log(1 - 1/beta)
+    beta = np.array([5e5, 9.9e5, 999_999.0])
+    for v_top in (1e-6, 1e-4):
+        v = np.concatenate([v, np.full(beta.size, v_top)])
+        c = np.concatenate([c, v_top * beta + np.log1p(-1.0 / beta)])
+    v = np.concatenate([v, [0.0, -1e-3, -1.0]])
+    c = np.concatenate([c, [0.1, -1.0, 5.0]])
+    got = _assert_matches_brentq(v, c)
+    assert np.all(np.isnan(got[v <= 0.0]))
+    assert np.any(got == BETA_BRACKET_LO)  # pinned: c <= v - 745
+    assert np.any((got > 1.0) & (got < 1.0 + 1e-9))  # beta -> 1: u << 0
+    assert np.any(got > 9.9e5)  # near the top of the bracket
+    assert np.any(np.isnan(got[v > 0.0]))  # unreachable
+
+
+def test_closed_form_bracket_masks_match_g_at_the_bracket_ends():
+    rng = np.random.default_rng(16)
+    n = 20_000
+    v = 10.0 ** rng.uniform(-12.0, 3.0, n)
+    # c on both bracket tests' boundaries, a few ulps either side, and at random
+    c_lo = v - 745.0
+    c_hi = v * (1.0 + BETA_BRACKET_HI) + np.log(BETA_BRACKET_HI) - np.log1p(BETA_BRACKET_HI)
+    jitter = rng.integers(-4, 5, n) * np.spacing(np.maximum(np.abs(c_lo), np.abs(c_hi)))
+    pick = rng.integers(0, 3, n)
+    c = np.where(pick == 0, c_lo, np.where(pick == 1, c_hi, rng.uniform(-800.0, 800.0, n)))
+    c = c + np.where(pick < 2, jitter, 0.0)
+
+    def g(u):
+        b = 1.0 + np.exp(u)
+        return v * b + u - np.log(b) - c
+
+    pinned, unreachable = _root_bracket(v, c)
+    assert np.array_equal(pinned, g(np.full(n, -745.0)) >= 0.0)
+    assert np.array_equal(unreachable, g(np.full(n, np.log(BETA_BRACKET_HI))) < 0.0)
+
+
+def test_root_converges_well_inside_the_pass_cap(monkeypatch):
+    """States like BS_A2's at K = 30-70 are solved to 1e-10 within 8 passes.
+
+    The solve starts above the root, so lo stays at the bracket floor while
+    Newton walks down. A step that no longer moves u lands on hi: if that
+    counted as outside the bracket, the path would be bisected back out
+    towards U_LO and need far more passes than the cap.
+    """
+    monkeypatch.setattr(drift_bs, "ROOT_PASSES", 8)
+    rng = np.random.default_rng(30)
+    v = rng.uniform(6e-4, 1.3e-2, 2_000)
+    c = rng.uniform(-0.6, 0.2, 2_000)
+    _assert_matches_brentq(v, c)
 
 
 def test_bs_scale_matches_root_when_moments_agree(params, grid):
