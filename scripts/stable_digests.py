@@ -7,7 +7,8 @@ Runs, in-process and in this order:
   seeds 20240 and 777, with ``--workers 1`` and ``2``;
 - the ``table3``, ``varswap`` and ``appendixC`` presets at ``--paths 26001
   --workers 2``;
-- ``drift`` dumps of the call-payoff kinds at K = 60 and 75 and of the
+- ``drift`` dumps of the call-payoff kinds at K = 60 and 75 (and of the
+  LDP kinds on the European weight at the same strikes) and of the
   variance-payoff drifts at K = 10, each on 16 and 252 steps.
 
 Prints one ``sha256  label`` line per output; a label ends with the run's
@@ -36,6 +37,7 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = (20240, 777)
 PRESETS = ("table3", "varswap", "appendixC")
 CALL_DRIFTS = ("BS", "MDPsn", "MDPsn_A", "MDPst_A", "MDPsnLog", "MDPlt", "LDPsn", "LDPst_A")
+EUROPEAN_DRIFTS = ("LDPsn", "LDPst_A")
 VARIANCE_DRIFTS = ("LDPsn", "MDPsn")
 STEPS = (16, 252)
 
@@ -53,6 +55,8 @@ def runs():
                                             "--workers", "2", "--stable-output"]
     drifts = [("geometric_asian_call", kind, strike) for kind in CALL_DRIFTS
               for strike in (60, 75)]
+    drifts += [("european_call", kind, strike) for kind in EUROPEAN_DRIFTS
+               for strike in (60, 75)]
     drifts += [("vol_indicator_swap", kind, 10) for kind in VARIANCE_DRIFTS]
     for payoff, kind, strike in drifts:
         for steps in STEPS:

@@ -84,7 +84,7 @@ def bs_root(v: float, c: float) -> float:
     """Unique root of v b + log(b - 1) - log(b) - c = 0 on (1, inf): one path of the vector solve."""
     beta = float(_vector_bs_root(np.array([v], dtype=float), np.array([c], dtype=float))[0])
     if np.isnan(beta):
-        raise OptimError(f"payoff unreachable: no root below beta = {BETA_BRACKET_HI}")
+        raise OptimError(f"payoff unreachable: no root below beta = {_B_HI!r}")
     return beta
 
 

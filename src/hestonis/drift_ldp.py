@@ -19,9 +19,10 @@ Small-time mode drops the variance drift (kappa = 0) and the -psi/2 term in
 phi_dot; its Euler-Lagrange system then loses the 1/2 inside the Riccati
 source: A' = -xi A^2/2 - xi rho_bar^2 beta^2 alpha^2 / 8 + rho beta alpha'/2.
 
-The (A0, beta) search runs Nelder-Mead on (A0, log beta) from a fixed start
-grid. Every emitted drift is cross-checked against the reduced-basis
-optimizer on the same discrete functional.
+The terminal state is free, so transversality fixes A(T) = rho beta alpha(T)/2:
+the search is 1-D in beta (A0 from a backward Riccati sweep), then polished
+on (A0, log beta). Every emitted drift is cross-checked against the
+reduced-basis optimizer on the same discrete functional.
 """
 
 from __future__ import annotations
@@ -91,16 +92,18 @@ def _riccati_coeffs(alpha: WeightPath, params: HestonParams, grid: TimeGrid, mod
     return kap_eff, (s1n, s2n, s1m, s2m)
 
 
-def _riccati_path(beta: float, a0: float, kap_eff: float, coeffs, params, grid) -> tuple[np.ndarray, bool]:
-    """RK4 with step dt/4 given precomputed source pieces; returns (A_fine, blown)."""
+def _riccati_path(beta: float, a_start: float, kap_eff: float, coeffs, xi: float,
+                  h: float) -> tuple[np.ndarray, bool]:
+    """RK4 with step h over precomputed source pieces; returns (A path, blown).
+
+    With h < 0 and the pieces reversed, it sweeps from T back to 0."""
     s1n, s2n, s1m, s2m = coeffs
     c_nodes = (beta * s1n + beta * beta * s2n).tolist()
     c_mids = (beta * s1m + beta * beta * s2m).tolist()
-    h = grid.dt / RICCATI_SUBSTEPS
-    n_fine = grid.n_steps * RICCATI_SUBSTEPS
+    n_fine = len(c_mids)
     out = np.empty(n_fine + 1)
-    out[0] = a = float(a0)
-    half_xi = 0.5 * params.xi
+    out[0] = a = float(a_start)
+    half_xi = 0.5 * xi
     h6 = h / 6.0
     hh = 0.5 * h
     for j in range(n_fine):
@@ -136,7 +139,8 @@ def riccati_solve(
     exceeds 1e6 (the point is then rejected by the objective, not an error).
     """
     kap_eff, coeffs = _riccati_coeffs(alpha, params, grid, mode)
-    a_fine, blown = _riccati_path(beta, a0, kap_eff, coeffs, params, grid)
+    h = grid.dt / RICCATI_SUBSTEPS
+    a_fine, blown = _riccati_path(beta, a0, kap_eff, coeffs, params.xi, h)
     return RiccatiFamily(beta=beta, a0=a0, a_fine=a_fine, blown_up=blown)
 
 
@@ -229,9 +233,10 @@ def _family_evaluator(
     rho, rho_bar = params.rho, params.rho_bar
     sl = slice(None, None, RICCATI_SUBSTEPS)
     small_noise = mode is LdpMode.SMALL_NOISE
+    xi, h = params.xi, grid.dt / RICCATI_SUBSTEPS
 
     def score(beta: float, a0: float) -> tuple[float, float]:
-        a_fine, blown = _riccati_path(beta, a0, kap_eff, coeffs, params, grid)
+        a_fine, blown = _riccati_path(beta, a0, kap_eff, coeffs, xi, h)
         if blown:
             return -1.0e12, -np.inf
         try:
@@ -255,49 +260,43 @@ def _family_evaluator(
     return score
 
 
-A0_STARTS = (-2.0, -0.5, 0.0, 0.5, 2.0)
-BETA_STARTS = (0.1, 1.0, 5.0, 20.0)
+BETA_GRID = np.linspace(math.log(0.1), math.log(1000.0), 16)  # log beta scan
 
 
-def ldp_optimum(
-    spec: PayoffSpec,
-    alpha: WeightPath,
-    params: HestonParams,
-    grid: TimeGrid,
-    mode: LdpMode,
-) -> tuple[float, float, float]:
-    """Nelder-Mead over (A0, log beta) from the fixed start grid: (a0*, beta*, value)."""
+def ldp_optimum(spec: PayoffSpec, alpha: WeightPath, params: HestonParams, grid: TimeGrid,
+                mode: LdpMode) -> tuple[float, float, float]:
+    """(a0*, beta*, value) of the best family member.
+
+    The terminal state is free, so transversality fixes A(T) = rho beta
+    alpha(T)/2 and each beta gives A0 by a backward Riccati sweep. A scan of
+    log beta on BETA_GRID and a bounded Brent search in the best bracket find
+    beta; Nelder-Mead on (A0, log beta) then polishes, because the condition
+    is the continuous one and the discrete optimum lies O(dt) off it.
+    """
     score = _family_evaluator(spec, alpha, params, grid, mode)
+    kap_eff, coeffs = _riccati_coeffs(alpha, params, grid, mode)
+    backward = tuple(c[::-1] for c in coeffs)
+    a_end, h = 0.5 * params.rho * float(alpha.alpha(grid.t_end)), grid.dt / RICCATI_SUBSTEPS
 
     def neg(v):
-        s, _ = score(math.exp(v[1]), v[0])
-        return -s
+        return -score(math.exp(v[1]), v[0])[0]
 
-    best = None
-    for a0 in A0_STARTS:
-        for b in BETA_STARTS:
-            res = optimize.minimize(
-                neg,
-                np.array([a0, math.log(b)]),
-                method="Nelder-Mead",
-                options={"maxfev": 90, "xatol": 1e-6, "fatol": 1e-9, "adaptive": False},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-    res = optimize.minimize(
-        neg,
-        best.x,
-        method="Nelder-Mead",
-        options={"maxfev": 400, "xatol": 1e-8, "fatol": 1e-11, "adaptive": False},
-    )
-    if res.fun < best.fun:
-        best = res
-    a0_s, logb_s = best.x
-    beta_s = float(math.exp(logb_s))
-    _, val = score(beta_s, float(a0_s))
+    def on_curve(log_b: float) -> np.ndarray:
+        beta = math.exp(log_b)
+        a_back, _ = _riccati_path(beta, a_end * beta, kap_eff, backward, params.xi, -h)
+        return np.array([a_back[-1], log_b])
+
+    i = int(np.argmin([neg(on_curve(lb)) for lb in BETA_GRID]))
+    bracket = BETA_GRID[max(i - 1, 0)], BETA_GRID[min(i + 1, BETA_GRID.size - 1)]
+    line = optimize.minimize_scalar(lambda lb: neg(on_curve(lb)), bounds=bracket,
+                                    method="bounded", options={"xatol": 1e-10})
+    res = optimize.minimize(neg, on_curve(line.x), method="Nelder-Mead", options={
+        "maxfev": 400, "xatol": 1e-8, "fatol": 1e-11, "adaptive": False})
+    a0_s, beta_s = float(res.x[0]), float(math.exp(res.x[1]))
+    _, val = score(beta_s, a0_s)
     if not np.isfinite(val):
-        raise OptimError(f"every (A0, beta) start was inadmissible at strike {spec.strike}")
-    return float(a0_s), beta_s, float(val)
+        raise OptimError(f"no admissible (A0, beta) found at strike {spec.strike}")
+    return a0_s, beta_s, float(val)
 
 
 def ldp_schedule(paths: LdpPaths, mode: LdpMode, output: DriftMode) -> DriftSchedule:
@@ -329,14 +328,14 @@ def integrate_psi_controlled(
     psi = np.empty(n + 1)
     psi[0] = y = params.v0
     floor = PSI_FLOOR
+
+    def rhs(v, u):
+        return kap * (th - v) + xi * math.sqrt(v) * u
+
     for i in range(n):
         uL = xd[i]
         uR = xd[i + 1]
         um = 0.5 * (uL + uR)
-
-        def rhs(v, u):
-            return kap * (th - v) + xi * math.sqrt(v) * u
-
         if y <= floor:
             return None
         k1 = rhs(y, uL)

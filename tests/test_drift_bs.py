@@ -223,6 +223,24 @@ def test_closed_form_bracket_masks_match_g_at_the_bracket_ends():
     assert np.array_equal(unreachable, g(np.full(n, np.log(BETA_BRACKET_HI))) < 0.0)
 
 
+def test_no_root_exceeds_the_top_the_error_names():
+    with pytest.raises(OptimError, match="no root below beta") as err:
+        bs_root(1e-3, 2e3)
+    top = float(str(err.value).rsplit("= ", 1)[1])
+    # the bracket's top is 1 + 1e6 in beta, above BETA_BRACKET_HI
+    assert BETA_BRACKET_HI < bs_root(1e-3, 1e3) <= top
+    rng = np.random.default_rng(17)
+    v = 10.0 ** rng.uniform(-9.0, 0.0, 4_000)
+    # c at random roots in the top decade, and within ulps below the unreachable edge
+    beta = rng.uniform(1e5, top, v.size)
+    c_edge = v * top + np.log(top - 1.0) - np.log(top)
+    c = np.where(rng.random(v.size) < 0.5, v * beta + np.log1p(-1.0 / beta),
+                 c_edge - rng.integers(0, 64, v.size) * np.spacing(c_edge))
+    got = _vector_bs_root(v, c)
+    assert np.isfinite(got).sum() > v.size // 2
+    assert np.nanmax(got) <= top
+
+
 def test_root_converges_well_inside_the_pass_cap(monkeypatch):
     """States like BS_A2's at K = 30-70 are solved to 1e-10 within 8 passes.
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import optimize
 
 from hestonis import varopt
 from hestonis.drift_bs import call_curve
@@ -17,9 +20,16 @@ from hestonis.drift_ldp import (
     _family_evaluator,
     _fine_knots,
 )
+from hestonis.errors import OptimError
 from hestonis.measure import DriftMode
-from hestonis.model import psi_deterministic
-from hestonis.payoff import PayoffKind, european_weight, geometric_weight, make_payoff
+from hestonis.model import TimeGrid, psi_deterministic
+from hestonis.payoff import (
+    PayoffKind,
+    WeightPath,
+    european_weight,
+    geometric_weight,
+    make_payoff,
+)
 from hestonis.selftest import riccati_reference_constant_alpha
 
 
@@ -124,6 +134,93 @@ def test_first_integral_residual_at_optimum(params, grid, alpha):
         - 0.5 * beta_s * a * np.sqrt(paths.psi)
     assert np.abs(resid).max() <= 1e-12
     assert np.all(paths.psi > 0.0)
+
+
+def _multistart_reference(spec, alpha, params, grid, mode):
+    """(a0, beta, value) by Nelder-Mead on (A0, log beta) from 5 A0 x 4 beta
+    starts of 90 evaluations each, then a 400-evaluation polish of the best."""
+    score = _family_evaluator(spec, alpha, params, grid, mode)
+
+    def neg(v):
+        return -score(math.exp(v[1]), v[0])[0]
+
+    best = None
+    for a0 in (-2.0, -0.5, 0.0, 0.5, 2.0):
+        for beta in (0.1, 1.0, 5.0, 20.0):
+            res = optimize.minimize(neg, np.array([a0, math.log(beta)]), method="Nelder-Mead",
+                                    options={"maxfev": 90, "xatol": 1e-6, "fatol": 1e-9})
+            if best is None or res.fun < best.fun:
+                best = res
+    res = optimize.minimize(neg, best.x, method="Nelder-Mead",
+                            options={"maxfev": 400, "xatol": 1e-8, "fatol": 1e-11})
+    if res.fun < best.fun:
+        best = res
+    beta_s = math.exp(best.x[1])
+    _, val = score(beta_s, best.x[0])
+    if not np.isfinite(val):
+        raise OptimError("every (A0, beta) start was inadmissible")
+    return float(best.x[0]), beta_s, float(val)
+
+
+_CALLS = (PayoffKind.GEOMETRIC_ASIAN_CALL, PayoffKind.EUROPEAN_CALL)
+
+
+@pytest.mark.parametrize("kind", _CALLS)
+@pytest.mark.parametrize("n_steps", [16, 64])
+def test_optimum_matches_multistart_reference(params, n_steps, kind):
+    grid = TimeGrid(n_steps, 1.0)
+    for mode in LdpMode:
+        for strike in (30.0, 50.0, 70.0, 85.0):
+            spec = make_payoff(kind, strike, 1.0)
+            _, beta, val = ldp_optimum(spec, spec.weight, params, grid, mode)
+            _, beta_ref, val_ref = _multistart_reference(spec, spec.weight, params, grid, mode)
+            assert abs(val - val_ref) <= 1e-12, (mode, strike)
+            assert abs(beta - beta_ref) <= 1e-6 * beta_ref, (mode, strike)
+
+
+def test_far_strike_reaches_a_member_the_start_grid_missed(params, alpha):
+    # K = 1000 on 16 steps: no start of the (A0, beta) grid walks out of the
+    # zero-payoff plateau, while the beta scan reaches an admissible member
+    grid = TimeGrid(16, 1.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 1000.0, 1.0)
+    with pytest.raises(OptimError):
+        _multistart_reference(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    a0_s, beta_s, val = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    score = _family_evaluator(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
+    assert np.isfinite(val) and score(beta_s, a0_s)[1] == val
+
+
+@pytest.mark.parametrize("mode", list(LdpMode))
+def test_unreachable_strike_raises(params, mode):
+    # a weight that reads no path keeps the aggregated return at 0 < log(K/s0)
+    flat = WeightPath(alpha=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                      alpha_dot=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                      integral=0.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 2.0 * params.s0, 1.0)
+    with pytest.raises(OptimError, match="no admissible"):
+        ldp_optimum(spec, flat, params, TimeGrid(16, 1.0), mode)
+
+
+@pytest.mark.parametrize("kind", _CALLS)
+@pytest.mark.parametrize("mode", list(LdpMode))
+def test_transversality_residual_at_optimum_is_an_o_dt_gap(params, grid, kind, mode):
+    """|A(T) - rho beta alpha(T)/2| at the discrete optimum.
+
+    The search starts on the continuous condition and the polish leaves it by
+    a first-order gap: at K = 40-85 the residual reads up to 5.4e-2 on 252
+    steps (European small-time, K = 85), and 3.9-4.1x that on 64 steps.
+    """
+    coarse = TimeGrid(64, 1.0)
+    for strike in (40.0, 55.0, 70.0, 85.0):
+        spec = make_payoff(kind, strike, 1.0)
+        resid = []
+        for g in (grid, coarse):
+            a0_s, beta_s, _ = ldp_optimum(spec, spec.weight, params, g, mode)
+            fam = riccati_solve(beta_s, a0_s, spec.weight, params, g, mode)
+            a_end = 0.5 * params.rho * beta_s * float(spec.weight.alpha(g.t_end))
+            resid.append(abs(fam.a_fine[-1] - a_end))
+        assert resid[0] <= 0.075, strike
+        assert 3.5 * resid[0] <= resid[1] <= 4.5 * resid[0], strike
 
 
 def _small_noise_paths(spec, alpha, params, grid):
