@@ -36,9 +36,10 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (20240, 777)
 PRESETS = ("table3", "varswap", "appendixC")
-CALL_DRIFTS = ("BS", "MDPsn", "MDPsn_A", "MDPst_A", "MDPsnLog", "MDPlt", "LDPsn", "LDPst_A")
+CALL_DRIFTS = ("BS", "MDPsn", "MDPsn_A", "MDPst_A", "MDPsnLog", "MDPlt", "LDPsn", "LDPst_A",
+               "BS_A", "MDPsnLog_A", "LDPsn_A")
 EUROPEAN_DRIFTS = ("LDPsn", "LDPst_A")
-VARIANCE_DRIFTS = ("LDPsn", "MDPsn")
+VARIANCE_DRIFTS = ("LDPsn", "MDPsn", "LDPsn_A", "MDPsn_A", "BS", "BS_A")
 STEPS = (16, 252)
 
 

@@ -33,7 +33,7 @@ from .payoff import PayoffKind, PayoffSpec, geometric_weight, make_payoff
 from . import payoff as payoff_mod
 from . import sim
 from . import varopt
-# Drift entry points stay names of this module, used here or not: perfbench's tracer patches them.
+# Drift entry points are called through this module's names, which perfbench's tracer patches.
 from .drift_bs import bs_beta, bs_drift, bs_fully_adaptive
 from .drift_ldp import LdpMode, ldp_optimum, ldp_paths, ldp_problem, ldp_schedule
 from .drift_mdp import (
@@ -100,9 +100,8 @@ def _on(tables, pipeline: str | None = None) -> dict:
 _MDP_SN = {Table.CALL: "bs", Table.VARIANCE: "mdp_price"}
 
 #: The one kind registry. The det and adaptive kinds of a pipeline share its
-#: cached solve at a strike (BS/BS_A, the LDP pairs, MDPst/MDPst_A, every
-#: variance-payoff pipeline) except where the solve takes the mode (MDPsnLog,
-#: BS_A2).
+#: one cached solve at a strike: the adaptive kind divides the deterministic
+#: schedule by the volatility path it was solved on.
 KINDS = {
     EstimatorKind.CLASSIC: KindEntry(_on(_ALL), None),
     EstimatorKind.ANTITHETIC: KindEntry(_on(_ALL), None),
@@ -213,36 +212,34 @@ class DriftFactory:
     def build_pipeline(
         self, pipeline: str, spec: PayoffSpec, mode: DriftMode
     ) -> tuple[DriftSchedule, float]:
-        """(schedule, build seconds) of ``pipeline`` at the spec's strike, applied in ``mode``."""
-        return self._PIPELINES[pipeline, self.table(spec)](self, pipeline, spec, mode)
+        """(schedule, build seconds) of ``pipeline`` at the spec's strike, applied in ``mode``.
+
+        Every mode shares one solve per (payoff kind, strike, pipeline). The
+        solve gives the deterministic schedule and the volatility path it was
+        solved on; an adaptive schedule divides by that path, and the kernel
+        multiplies back by sqrt(V_i).
+        """
+        solve = self._PIPELINES[pipeline, self.table(spec)]
+        (det, vol), secs = self._cached(spec, (pipeline,), lambda: solve(self, pipeline, spec))
+        if mode is DriftMode.ADAPTIVE:
+            return DriftSchedule(mode, det.h1_dot / vol, det.h2_dot / vol, det.provenance), secs
+        return det, secs
 
     def _alpha(self, spec):
         return spec.weight if spec.weight is not None else geometric_weight(self.grid.t_end)
 
-    def _frozen_vol(self, pipeline, spec, mode):
-        """The deterministic-volatility root (``bs_beta``) and its embedding
-        beta* alpha sigma on the channel loading (``bs_drift``), for BS (and
-        so MDPsn) and MDPst on call payoffs and BS under constant vol.
+    def _sqrt_psi(self):
+        return np.sqrt(psi_deterministic(self.params, self.grid))
 
-        They differ only in the frozen sigma path (sqrt(psi) for BS, sqrt(v0)
-        for MDPst, the constant sigma), the payoff the root is solved for
-        (under constant vol the geometric call at the same strike, a surrogate
-        for the arithmetic one) and the loading ((rho, rho_bar), or (1, 0) on
-        constant vol's one Brownian channel).
-        """
-        p, g = self.params, self.grid
-        rho = p.rho
-        if self.sigma is not None:
-            frozen, sigma, rho = "sigma", np.full(g.n_steps + 1, self.sigma), 1.0
-            spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
-        elif pipeline == "mdp_st":
-            frozen, sigma = "sqrt_v0", np.full(g.n_steps + 1, np.sqrt(p.v0))
-        else:
-            frozen, sigma = "sqrt_psi", np.sqrt(psi_deterministic(p, g))
-        red, secs = self._cached(
-            spec, (frozen,), lambda: bs_beta(spec, sigma, self._alpha(spec), g, p)
-        )
-        return bs_drift(red.beta_star, red.sigma, red.alpha, rho, g, mode, pipeline), secs
+    def _frozen_vol(self, pipeline, spec):
+        """BS under constant vol: the deterministic-volatility root (``bs_beta``)
+        of the geometric call at the spec's strike, a surrogate for the
+        arithmetic one, embedded on the one Brownian channel's loading (1, 0)."""
+        g = self.grid
+        sigma = np.full(g.n_steps + 1, self.sigma)
+        geometric = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
+        red = bs_beta(geometric, sigma, self._alpha(geometric), g, self.params)
+        return bs_drift(red.beta_star, sigma, red.alpha, 1.0, pipeline), sigma
 
     def ldp_solution(self, pipeline: str, spec: PayoffSpec):
         """(LdpPaths, build seconds) of an LDP pipeline's optimum at the spec's strike."""
@@ -254,30 +251,35 @@ class DriftFactory:
 
         return self._cached(spec, ("ldp", ldp_mode), solve)
 
-    def _ldp(self, pipeline, spec, mode):
-        paths, secs = self.ldp_solution(pipeline, spec)
-        return ldp_schedule(paths, LDP_MODES[pipeline], mode), secs
+    def _ldp(self, pipeline, spec):
+        """The optimum's drift, solved on its own variance path psi."""
+        paths, _ = self.ldp_solution(pipeline, spec)
+        return ldp_schedule(paths, LDP_MODES[pipeline]), np.sqrt(paths.psi)
 
-    def _solved(self, pipeline, spec, mode):
-        """Pipelines whose solve gives the schedule itself, so it is cached per mode too."""
+    def _solved(self, pipeline, spec):
+        """Call-payoff pipelines of one drift function each, with the volatility
+        path it freezes: sqrt(psi) for BS (and so MDPsn) and MDPsnLog, sqrt(v0)
+        for MDPst; MDPlt and BS_A2 have no adaptive twin."""
         p, g, alpha = self.params, self.grid, self._alpha(spec)
-        solve = {
-            "bs_a2": lambda: bs_fully_adaptive(spec, p, g),
-            "mdp_log": lambda: mdp_log_drift(spec, alpha, p, g, mode),
-            "mdp_lt": lambda: mdp_large_time_drift(spec, alpha, p, g),
+        if pipeline == "bs_a2":
+            return bs_fully_adaptive(spec, p, g), None
+        sqrt_psi = self._sqrt_psi()
+        solve, vol = {
+            "bs": (mdp_price_drift, sqrt_psi),
+            "mdp_st": (mdp_small_time_drift, np.full(g.n_steps + 1, np.sqrt(p.v0))),
+            "mdp_log": (mdp_log_drift, sqrt_psi),
+            "mdp_lt": (mdp_large_time_drift, None),
         }[pipeline]
-        return self._cached(spec, (pipeline, mode), solve)
+        return solve(spec, alpha, p, g), vol
 
     # -- variance-payoff drifts (no closed form: reduced-basis solves) -------
 
-    def _varswap(self, pipeline, spec, mode):
+    def _varswap(self, pipeline, spec):
+        """A reduced-basis solve, frozen on the deterministic variance path psi."""
         solve = {"ldp_sn": self._solve_vs_ldp, "mdp_price": self._solve_vs_mdp,
                  "bs": self._solve_vs_bs}[pipeline]
-        (prof1, prof2), secs = self._cached(spec, ("vs", pipeline), lambda: solve(spec))
-        if mode is DriftMode.ADAPTIVE:
-            sqp = np.sqrt(psi_deterministic(self.params, self.grid))
-            prof1, prof2 = prof1 / sqp, prof2 / sqp
-        return DriftSchedule(mode, prof1, prof2, "varswap"), secs
+        prof1, prof2 = solve(spec)
+        return DriftSchedule(DriftMode.DETERMINISTIC, prof1, prof2, "varswap"), self._sqrt_psi()
 
     def _variance_response_atom(self):
         """First-order response of log int V dt to the variance channel:
@@ -344,11 +346,11 @@ class DriftFactory:
 
     # (pipeline, table) -> builder; KINDS offers a drift kind only where one exists
     _PIPELINES = {
-        ("bs", Table.CALL): _frozen_vol, ("bs", Table.VARIANCE): _varswap,
+        ("bs", Table.CALL): _solved, ("bs", Table.VARIANCE): _varswap,
         ("bs", Table.CONSTANT_VOL): _frozen_vol, ("bs_a2", Table.CALL): _solved,
         ("ldp_sn", Table.CALL): _ldp, ("ldp_sn", Table.VARIANCE): _varswap,
         ("ldp_st", Table.CALL): _ldp, ("mdp_log", Table.CALL): _solved,
-        ("mdp_price", Table.VARIANCE): _varswap, ("mdp_st", Table.CALL): _frozen_vol,
+        ("mdp_price", Table.VARIANCE): _varswap, ("mdp_st", Table.CALL): _solved,
         ("mdp_lt", Table.CALL): _solved,
     }
 

@@ -124,8 +124,6 @@ def bs_drift(
     sigma: np.ndarray,
     alpha: np.ndarray,
     rho: float,
-    grid: TimeGrid,
-    mode: DriftMode = DriftMode.DETERMINISTIC,
     provenance: str = "bs",
 ) -> DriftSchedule:
     """Embed the scalar solution in the two channels: rho h1 + rho_bar h2 = beta alpha sigma.
@@ -134,10 +132,8 @@ def bs_drift(
     """
     rho_bar = float(np.sqrt(1.0 - rho * rho))
     profile = beta_star * np.asarray(alpha) * np.asarray(sigma)
-    if mode is DriftMode.ADAPTIVE:
-        profile = beta_star * np.asarray(alpha, dtype=float)
     return DriftSchedule(
-        mode=mode,
+        mode=DriftMode.DETERMINISTIC,
         h1_dot=rho * profile,
         h2_dot=rho_bar * profile,
         provenance=provenance,
@@ -174,9 +170,10 @@ def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     (Numerical Recipes, 3rd ed., 9.4 rtsafe). A step goes to the bracket
     midpoint only when it lands strictly outside (lo, hi): a converged path
     sits on its own bracket end, and a closed test would bisect it back out.
-    Converged paths leave the working arrays. Roots pinned below U_LO return
-    BETA_BRACKET_LO; v <= 0 and roots beyond the beta bracket return nan
-    for the caller to zero out.
+    Converged paths leave the working arrays. Every root is clamped at
+    BETA_BRACKET_LO, the value of the roots pinned below U_LO, so beta does
+    not fall as c rises across the pin; v <= 0 and roots beyond the beta
+    bracket return nan for the caller to zero out.
     """
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
     pinned, unreachable = _root_bracket(v, c)
@@ -204,13 +201,12 @@ def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
             break
         keep = ~done
         live, u, v, c, lo, hi = live[keep], u_new[keep], v[keep], c[keep], lo[keep], hi[keep]
-    beta.flat[idx] = 1.0 + np.exp(root)
+    beta.flat[idx] = np.maximum(1.0 + np.exp(root), BETA_BRACKET_LO)
     return beta
 
 
 def bs_fully_adaptive_step(
     i: int,
-    t_i: float,
     y_acc: np.ndarray,
     v_i: np.ndarray,
     ctx: dict,
@@ -249,8 +245,8 @@ def bs_fully_adaptive(
         "rho_bar": params.rho_bar,
     }
 
-    def step_fn(i, t_i, y_acc, v_i):
-        return bs_fully_adaptive_step(i, t_i, y_acc, v_i, ctx)
+    def step_fn(i, y_acc, v_i):
+        return bs_fully_adaptive_step(i, y_acc, v_i, ctx)
 
     return DriftSchedule(
         mode=DriftMode.PER_STEP_ADAPTIVE,

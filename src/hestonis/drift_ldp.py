@@ -56,8 +56,6 @@ class LdpMode(enum.Enum):
 class RiccatiFamily:
     """One (A0, beta) member: A on the fine grid, with a blow-up marker."""
 
-    beta: float
-    a0: float
     a_fine: np.ndarray
     blown_up: bool
 
@@ -141,7 +139,7 @@ def riccati_solve(
     kap_eff, coeffs = _riccati_coeffs(alpha, params, grid, mode)
     h = grid.dt / RICCATI_SUBSTEPS
     a_fine, blown = _riccati_path(beta, a0, kap_eff, coeffs, params.xi, h)
-    return RiccatiFamily(beta=beta, a0=a0, a_fine=a_fine, blown_up=blown)
+    return RiccatiFamily(a_fine=a_fine, blown_up=blown)
 
 
 def psi_from_a(
@@ -178,7 +176,6 @@ class LdpPaths:
     psi: np.ndarray
     u: np.ndarray
     z: np.ndarray
-    phi_dot: np.ndarray
     xdot1: np.ndarray
     xdot2: np.ndarray
 
@@ -191,7 +188,7 @@ def ldp_paths(
     grid: TimeGrid,
     mode: LdpMode,
 ) -> LdpPaths | None:
-    """Build (A, psi, U, Z, phi_dot) for one (A0, beta); None when rejected."""
+    """Build (A, psi, U, Z) and the channel drifts for one (A0, beta); None when rejected."""
     fam = riccati_solve(beta, a0, spec_alpha, params, grid, mode)
     if fam.blown_up:
         return None
@@ -206,10 +203,8 @@ def ldp_paths(
     sqp = np.sqrt(psi_k)
     u = a_k * sqp
     z = params.rho * u + 0.5 * params.rho_bar**2 * beta * alpha_k * sqp
-    drift_term = -0.5 * psi_k if mode is LdpMode.SMALL_NOISE else 0.0
-    phi_dot = z * sqp + drift_term
     xdot2 = (z - params.rho * u) / params.rho_bar
-    return LdpPaths(a=a_k, psi=psi_k, u=u, z=z, phi_dot=phi_dot, xdot1=u, xdot2=xdot2)
+    return LdpPaths(a=a_k, psi=psi_k, u=u, z=z, xdot1=u, xdot2=xdot2)
 
 
 def _family_evaluator(
@@ -299,14 +294,9 @@ def ldp_optimum(spec: PayoffSpec, alpha: WeightPath, params: HestonParams, grid:
     return a0_s, beta_s, float(val)
 
 
-def ldp_schedule(paths: LdpPaths, mode: LdpMode, output: DriftMode) -> DriftSchedule:
-    """Drift schedule of an optimum's paths: (U, (Z - rho U)/rho_bar), adaptively
-    divided by sqrt(psi)."""
-    h1, h2 = paths.xdot1, paths.xdot2
-    if output is DriftMode.ADAPTIVE:
-        sqp = np.sqrt(paths.psi)
-        h1, h2 = h1 / sqp, h2 / sqp
-    return DriftSchedule(output, h1, h2, f"ldp_{mode.value}")
+def ldp_schedule(paths: LdpPaths, mode: LdpMode) -> DriftSchedule:
+    """Drift schedule of an optimum's paths: (U, (Z - rho U)/rho_bar)."""
+    return DriftSchedule(DriftMode.DETERMINISTIC, paths.xdot1, paths.xdot2, f"ldp_{mode.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -101,17 +101,13 @@ def mdp_log_drift(
     alpha: WeightPath,
     params: HestonParams,
     grid: TimeGrid,
-    output: DriftMode = DriftMode.DETERMINISTIC,
 ) -> DriftSchedule:
     """Log-price small-noise drift: (U, (Z - rho U)/rho_bar) at the optimal beta."""
-    aux, a, u_load, z_load, s1, s2 = _log_reduction(alpha, params, grid)
+    _, _, u_load, z_load, s1, s2 = _log_reduction(alpha, params, grid)
     _, _, c = _fbar_curve(spec, alpha, params, grid)
     beta = bs_scale(s1, s2, c)
-    sqp = np.sqrt(aux.psi)
     h1 = beta * u_load
     h2 = beta * (z_load - params.rho * u_load) / params.rho_bar
-    if output is DriftMode.ADAPTIVE:
-        return DriftSchedule(DriftMode.ADAPTIVE, h1 / sqp, h2 / sqp, provenance="mdp_log")
     return DriftSchedule(DriftMode.DETERMINISTIC, h1, h2, provenance="mdp_log")
 
 
@@ -120,7 +116,6 @@ def mdp_price_drift(
     alpha: WeightPath,
     params: HestonParams,
     grid: TimeGrid,
-    output: DriftMode = DriftMode.DETERMINISTIC,
 ) -> DriftSchedule:
     """Price small-noise drift: x_dot = b alpha sqrt(psi) (rho, rho_bar).
 
@@ -129,7 +124,7 @@ def mdp_price_drift(
     """
     sigma = np.sqrt(psi_deterministic(params, grid))
     red = bs_beta(spec, sigma, alpha, grid, params)
-    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, output, "mdp_price")
+    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, "mdp_price")
 
 
 def mdp_small_time_drift(
@@ -137,13 +132,11 @@ def mdp_small_time_drift(
     alpha: WeightPath,
     params: HestonParams,
     grid: TimeGrid,
-    output: DriftMode = DriftMode.DETERMINISTIC,
 ) -> DriftSchedule:
     """Small-time mode: the price problem with f = 0 and psi frozen at v0."""
     sigma = np.full(grid.n_steps + 1, np.sqrt(params.v0))
     red = bs_beta(spec, sigma, alpha, grid, params)
-    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, output,
-                    "mdp_small_time")
+    return bs_drift(red.beta_star, sigma, red.alpha, params.rho, "mdp_small_time")
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +145,8 @@ def mdp_small_time_drift(
 
 @dataclass(frozen=True)
 class LargeTimeConstants:
-    """Moments of the Gamma invariant measure and the reduced-problem constants."""
+    """The reduced-problem constants drawn from the Gamma invariant measure."""
 
-    ey: float
-    esqrt: float
     nu: float
     bvec: np.ndarray
 
@@ -178,7 +169,7 @@ def large_time_constants(params: HestonParams) -> LargeTimeConstants:
     if nu <= 0.0:
         raise DomainError(f"large-time quadratic coefficient must be positive, got {nu}")
     bvec = -0.5 * np.array([c, params.rho_bar]) * esqrt
-    return LargeTimeConstants(ey=ey, esqrt=esqrt, nu=nu, bvec=bvec)
+    return LargeTimeConstants(nu=nu, bvec=bvec)
 
 
 def mdp_large_time_drift(

@@ -37,10 +37,11 @@ class DriftMode(enum.Enum):
 class DriftSchedule:
     """Two-channel drift on the grid knots, plus the mode that interprets it.
 
-    Deterministic entries are in 1/sqrt(time); adaptive entries are divided by
-    the running volatility scale and multiplied back by sqrt(V_i) at simulation
-    time. Per-step-adaptive schedules carry a generator callback instead of
-    fixed arrays: step_fn(i, t_i, y_acc, v_i) -> (m1, m2) arrays over paths.
+    Deterministic entries are in 1/sqrt(time). Adaptive entries are a
+    deterministic schedule divided by the volatility path it was solved on,
+    and the kernel multiplies them back by sqrt(V_i). Per-step-adaptive
+    schedules carry a callback instead of fixed arrays:
+    step_fn(i, y_acc, v_i) -> (m1, m2) arrays over paths.
     """
 
     mode: DriftMode

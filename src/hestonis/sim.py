@@ -149,7 +149,7 @@ def _evolve(
             dwi, dwpi = dw[:, i], dw_perp[:, i]
         else:
             if per_step:
-                m1, m2 = drift.step_fn(i, grid.knots[i], y_acc, vplus)
+                m1, m2 = drift.step_fn(i, y_acc, vplus)
             elif drift.mode is DriftMode.ADAPTIVE:
                 m1 = drift.h1_dot[i] * sq
                 m2 = drift.h2_dot[i] * sq

@@ -22,7 +22,7 @@ from hestonis.drift_bs import bs_beta, bs_drift
 from hestonis.drift_mdp import mdp_small_time_drift
 from hestonis.errors import DomainError
 from hestonis.measure import DriftMode, DriftSchedule
-from hestonis.model import TimeGrid
+from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, make_payoff
 from hestonis import payoff as payoff_mod, sim
 from hestonis.payoff import evaluate
@@ -306,6 +306,7 @@ def test_mdp_price_rows_equal_bs_rows(params):
 
 
 def test_one_root_per_strike_serves_bs_and_mdp_price(params, monkeypatch):
+    # BS and MDPsn both route to mdp_price_drift, which solves the root itself
     calls = {"bs_beta": 0, "mdp_price_drift": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(bench, name), **kwargs):
@@ -316,7 +317,18 @@ def test_one_root_per_strike_serves_bs_and_mdp_price(params, monkeypatch):
     reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], FROZEN_VOL_KINDS,
                         params, TimeGrid(16, 1.0), 500, SEED)
     assert all(r.error == "" for r in reports)
-    assert calls == {"bs_beta": 2, "mdp_price_drift": 0}
+    assert calls == {"bs_beta": 0, "mdp_price_drift": 2}
+
+
+def test_one_mdp_log_solve_per_strike_serves_both_modes(params, monkeypatch):
+    calls = []
+    solve = bench.mdp_log_drift
+    monkeypatch.setattr(bench, "mdp_log_drift", lambda *a: calls.append(a[0].strike) or solve(*a))
+    kinds = [EstimatorKind.MDP_SN_LOG, EstimatorKind.MDP_SN_LOG_A]
+    reports = run_table(PayoffKind.GEOMETRIC_ASIAN_CALL, [50.0, 65.0], kinds, params,
+                        TimeGrid(16, 1.0), 500, SEED)
+    assert all(r.error == "" for r in reports)
+    assert calls == [50.0, 65.0]
 
 
 GRID16 = TimeGrid(16, 1.0)
@@ -581,12 +593,63 @@ def test_small_time_schedule_is_the_root_at_sqrt_v0(params, kind, mode):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 65.0, 1.0)
     sigma = np.full(grid.n_steps + 1, np.sqrt(params.v0))
     red = bs_beta(spec, sigma, spec.weight, grid, params)
-    want = bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid, mode)
+    det = bs_drift(red.beta_star, sigma, red.alpha, params.rho)
+    got = mdp_small_time_drift(spec, spec.weight, params, grid)
+    assert np.array_equal(got.h1_dot, det.h1_dot) and np.array_equal(got.h2_dot, det.h2_dot)
+    scale = sigma if mode is DriftMode.ADAPTIVE else 1.0
     built, _ = bench.DriftFactory(params, grid).build(kind, spec)
-    for got in (built, mdp_small_time_drift(spec, spec.weight, params, grid, mode)):
-        assert got.mode is mode
-        assert np.array_equal(got.h1_dot, want.h1_dot)
-        assert np.array_equal(got.h2_dot, want.h2_dot)
+    assert built.mode is mode
+    assert np.array_equal(built.h1_dot, det.h1_dot / scale)
+    assert np.array_equal(built.h2_dot, det.h2_dot / scale)
+
+
+def _twin_pairs():
+    """(table, deterministic kind, adaptive kind) of every pair a table offers."""
+    for table in bench.Table:
+        for kind, entry in bench.KINDS.items():
+            twin = next((k for k in EstimatorKind if k.value == kind.value + "_A"), None)
+            if (entry.mode is DriftMode.DETERMINISTIC and twin is not None
+                    and table in entry.pipelines and table in bench.KINDS[twin].pipelines):
+                yield table, kind, twin
+
+
+#: What a builder calls to solve; the adaptive twin of a built kind calls none of them.
+_SOLVERS = ("bs_beta", "bs_fully_adaptive", "ldp_optimum", "mdp_log_drift", "mdp_price_drift",
+            "mdp_small_time_drift", "mdp_large_time_drift")
+
+
+@pytest.mark.parametrize("table,det_kind,ada_kind", list(_twin_pairs()),
+                         ids=lambda v: v.name if isinstance(v, bench.Table) else v.value)
+def test_adaptive_twin_divides_by_the_vol_it_was_solved_on(params, table, det_kind, ada_kind,
+                                                           monkeypatch):
+    grid = TimeGrid(16, 1.0)
+    if table is bench.Table.CALL:
+        spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 65.0, 1.0)
+    else:  # the BS variance drift is zero at K <= 50, the other two fail above
+        strike = 60.0 if det_kind is EstimatorKind.BS else 50.0
+        spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, strike, 1.0)
+    factory = bench.DriftFactory(params, grid)
+    assert factory.table(spec) is table
+    det, _ = factory.build(det_kind, spec)
+    pipeline, _ = factory.route(det_kind, spec)
+    if table is bench.Table.CALL and pipeline in bench.LDP_MODES:
+        vol = np.sqrt(factory.ldp_solution(pipeline, spec)[0].psi)
+    elif pipeline == "mdp_st":
+        vol = np.full(grid.n_steps + 1, np.sqrt(params.v0))
+    else:
+        vol = np.sqrt(psi_deterministic(params, grid))
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the adaptive twin solved again")
+
+    for name in _SOLVERS:
+        monkeypatch.setattr(bench, name, unexpected)
+    monkeypatch.setattr(bench.varopt, "solve", unexpected)
+    ada, _ = factory.build(ada_kind, spec)
+    assert (det.mode, ada.mode) == (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE)
+    assert np.abs(det.h1_dot).max() > 0.0
+    assert np.array_equal(ada.h1_dot, det.h1_dot / vol)
+    assert np.array_equal(ada.h2_dot, det.h2_dot / vol)
 
 
 @pytest.mark.parametrize("kind", [EstimatorKind.BS, EstimatorKind.LDP_SN,

@@ -36,6 +36,21 @@ def test_deep_in_the_money_pins_at_one():
     assert bs_root(0.02, -80.0) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_root_does_not_fall_below_the_pin():
+    # c at the pin (c = v - 745), then above it: the roots there, 1 + e^u with
+    # u far below log(1e-12), used to round to 1.0, under the pinned value
+    v = 0.05
+    c = v - 745.0 + np.array([-1.0, 0.0, 1e-9, 1.0, 50.0, 695.0, 716.0, 717.0, 718.0, 719.0,
+                              725.0, 735.0])
+    got = _vector_bs_root(np.full(c.size, v), c)
+    assert got[0] == got[1] == BETA_BRACKET_LO
+    assert np.all(got >= BETA_BRACKET_LO)
+    assert np.all(np.diff(got) >= 0.0)
+    assert got[-1] > BETA_BRACKET_LO
+    for ci, bi in zip(c, got):
+        assert bs_root(v, ci) == bi
+
+
 def test_unreachable_payoff_raises():
     with pytest.raises(OptimError):
         bs_root(1e-7, 5.0)
@@ -62,21 +77,21 @@ class TestDriftEmbedding:
     def test_zero_beta_gives_zero_schedule(self, grid):
         alpha = np.ones(grid.n_steps + 1)
         sigma = np.full(grid.n_steps + 1, 0.25)
-        d = bs_drift(0.0, sigma, alpha, -0.5, grid)
+        d = bs_drift(0.0, sigma, alpha, -0.5)
         assert np.all(d.h1_dot == 0.0)
         assert np.all(d.h2_dot == 0.0)
 
     def test_zero_correlation_uses_orthogonal_channel_only(self, grid):
         alpha = np.ones(grid.n_steps + 1)
         sigma = np.full(grid.n_steps + 1, 0.25)
-        d = bs_drift(2.0, sigma, alpha, 0.0, grid)
+        d = bs_drift(2.0, sigma, alpha, 0.0)
         assert np.all(d.h1_dot == 0.0)
         assert_allclose(d.h2_dot, 0.5)
 
     def test_unit_weight_arithmetic(self, grid):
         alpha = np.ones(grid.n_steps + 1)
         sigma = np.full(grid.n_steps + 1, 0.25)
-        d = bs_drift(2.0, sigma, alpha, -0.5, grid)
+        d = bs_drift(2.0, sigma, alpha, -0.5)
         assert_allclose(d.h1_dot, -0.25, atol=1e-15)
         assert_allclose(d.h2_dot, 0.25 * np.sqrt(3.0), atol=1e-15)
 
@@ -84,7 +99,7 @@ class TestDriftEmbedding:
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
         sigma = np.sqrt(psi_deterministic(params, grid))
         red = bs_beta(spec, sigma, spec.weight, grid, params)
-        d = bs_drift(red.beta_star, sigma, red.alpha, params.rho, grid)
+        d = bs_drift(red.beta_star, sigma, red.alpha, params.rho)
         lhs = params.rho * d.h1_dot + params.rho_bar * d.h2_dot
         assert np.abs(lhs - red.beta_star * red.alpha * sigma).max() <= 1e-14
 
@@ -114,7 +129,7 @@ class TestFullyAdaptive:
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
         sched = bs_fully_adaptive(spec, params, grid)
         v0 = np.full(8, params.v0)
-        m1, m2 = sched.step_fn(0, 0.0, np.zeros(8), v0)
+        m1, m2 = sched.step_fn(0, np.zeros(8), v0)
         sigma0 = np.full(grid.n_steps + 1, np.sqrt(params.v0))
         red = bs_beta(spec, sigma0, spec.weight, grid, params)
         want = red.beta_star * 1.0 * np.sqrt(params.v0)
@@ -126,8 +141,8 @@ class TestFullyAdaptive:
         sched = bs_fully_adaptive(spec, params, grid)
         i = 60
         v = np.full(2, params.v0)
-        m_flat, _ = sched.step_fn(i, grid.knots[i], np.zeros(2), v)
-        m_itm, _ = sched.step_fn(i, grid.knots[i], np.full(2, 4.0), v)
+        m_flat, _ = sched.step_fn(i, np.zeros(2), v)
+        m_itm, _ = sched.step_fn(i, np.full(2, 4.0), v)
         assert np.all(np.abs(m_itm) < np.abs(m_flat))
         # beta near 1 deep in the money: |m| ~ alpha sigma
         a_i = spec.weight.on_grid(grid)[i]
@@ -138,16 +153,14 @@ class TestFullyAdaptive:
         sched = bs_fully_adaptive(spec, params, grid)
         i = grid.n_steps - 1
         y = np.array([-0.5, -0.01, 0.0, 0.2])
-        m1, m2 = sched.step_fn(i, grid.knots[i], y, np.full(4, params.v0))
+        m1, m2 = sched.step_fn(i, y, np.full(4, params.v0))
         assert np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))
 
     def test_unreachable_payoff_returns_zero_drift(self, params, grid):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0)
         sched = bs_fully_adaptive(spec, params, grid)
         i = grid.n_steps - 1
-        m1, m2 = sched.step_fn(
-            i, grid.knots[i], np.full(3, -3.0), np.full(3, params.v0)
-        )
+        m1, m2 = sched.step_fn(i, np.full(3, -3.0), np.full(3, params.v0))
         assert np.all(m1 == 0.0) and np.all(m2 == 0.0)
 
 

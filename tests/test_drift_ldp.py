@@ -21,7 +21,6 @@ from hestonis.drift_ldp import (
     _fine_knots,
 )
 from hestonis.errors import OptimError
-from hestonis.measure import DriftMode
 from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import (
     PayoffKind,
@@ -231,7 +230,7 @@ def _small_noise_paths(spec, alpha, params, grid):
 def test_channel_reconstruction_identity(params, grid, alpha):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
     paths = _small_noise_paths(spec, alpha, params, grid)
-    d = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
+    d = ldp_schedule(paths, LdpMode.SMALL_NOISE)
     lhs = params.rho * d.h1_dot + params.rho_bar * d.h2_dot
     assert np.abs(lhs - paths.z).max() <= 1e-12
 
@@ -240,20 +239,9 @@ def test_drift_norm_decreases_toward_zero_strike(params, grid, alpha):
     norms = []
     for strike in (45.0, 35.0, 25.0):
         spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, 1.0)
-        d = ldp_schedule(_small_noise_paths(spec, alpha, params, grid),
-                         LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
+        d = ldp_schedule(_small_noise_paths(spec, alpha, params, grid), LdpMode.SMALL_NOISE)
         norms.append(float(((d.h1_dot[:-1] ** 2 + d.h2_dot[:-1] ** 2)).sum() * grid.dt))
     assert norms[0] > norms[1] > norms[2]
-
-
-def test_adaptive_output_divides_by_sqrt_psi(params, grid, alpha):
-    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
-    paths = _small_noise_paths(spec, alpha, params, grid)
-    det = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.DETERMINISTIC)
-    ada = ldp_schedule(paths, LdpMode.SMALL_NOISE, DriftMode.ADAPTIVE)
-    assert (det.mode, ada.mode) == (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE)
-    assert det.provenance == ada.provenance == "ldp_small_noise"
-    assert_allclose(ada.h1_dot * np.sqrt(paths.psi), det.h1_dot, atol=1e-13)
 
 
 def test_uncorrelated_channels_match_oracle(grid, alpha):

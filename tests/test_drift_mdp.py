@@ -23,7 +23,6 @@ from hestonis.drift_mdp import (
     mdp_price_problem,
     mdp_small_time_drift,
 )
-from hestonis.measure import DriftMode
 from hestonis.model import EQUITY_PARAMS, TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, geometric_weight, make_payoff
 
@@ -156,11 +155,6 @@ class TestSmallTimeMode:
         assert red.v_quad == pytest.approx(
             params.v0 * float((a[:-1] ** 2).sum() * grid.dt), abs=1e-15
         )
-
-    def test_adaptive_output_is_flat_profile(self, params, grid, alpha, spec):
-        det = mdp_small_time_drift(spec, alpha, params, grid, DriftMode.DETERMINISTIC)
-        ada = mdp_small_time_drift(spec, alpha, params, grid, DriftMode.ADAPTIVE)
-        assert_allclose(ada.h1_dot * np.sqrt(params.v0), det.h1_dot, atol=1e-13)
 
 
 class TestLargeTime:
