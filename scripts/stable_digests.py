@@ -17,12 +17,24 @@ at two commits and ``diff`` the outputs:
 
     python3 scripts/stable_digests.py > digests.txt
 
+``--keep DIR`` also saves each run's output as ``DIR/<label>.csv``. Where two
+commits' digests differ, ``--max-rel DIR_A DIR_B`` reads two such directories
+and prints, per label, the largest relative move of any numeric CSV cell and
+the column it sits in:
+
+    python3 scripts/stable_digests.py --keep out_a > digests_a.txt
+    python3 scripts/stable_digests.py --max-rel out_a out_b
+
 The package is imported from ``src/`` of the checkout this script sits in.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import math
+import re
 import sys
 import tempfile
 import warnings
@@ -70,10 +82,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main_digests() -> None:
+def file_name(label: str) -> str:
+    """``label`` as a file name: each run of other characters becomes "_"."""
+    return re.sub(r"[^A-Za-z0-9.=-]+", "_", label) + ".csv"
+
+
+def main_digests(keep: Path | None = None) -> None:
     # Python warnings name source lines, which move with any edit; the
     # digests cover only what the CLI itself writes.
     warnings.simplefilter("ignore")
+    if keep is not None:
+        keep.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         for label, argv in runs():
@@ -82,10 +101,62 @@ def main_digests() -> None:
             with contextlib.redirect_stderr(err):
                 code = main(argv + ["--out", str(out)])
             written = out.read_bytes() if out.is_file() else b""
+            if keep is not None:
+                (keep / file_name(label)).write_bytes(written)
             print(f"{sha256(written)}  {label} exit={code}", flush=True)
             if err.getvalue():
                 print(f"{sha256(err.getvalue().encode())}  {label} stderr", flush=True)
 
 
+def relative_move(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numeric cells (0 where they are equal,
+    NaN ones included); None when either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if math.isnan(x) or math.isnan(y) or math.isinf(x) or math.isinf(y):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def max_moves(dir_a: Path, dir_b: Path) -> None:
+    """Print, per label, the largest relative move of a numeric cell between
+    the outputs kept in ``dir_a`` and ``dir_b``, with its column; a label
+    whose tables differ in shape or in a text cell says so."""
+    for label, _ in runs():
+        name = file_name(label)
+        a, b = dir_a / name, dir_b / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{'missing':>10}  {label}")
+            continue
+        rows_a = list(csv.reader(a.read_text().splitlines()))
+        rows_b = list(csv.reader(b.read_text().splitlines()))
+        if [len(r) for r in rows_a] != [len(r) for r in rows_b] or rows_a[:1] != rows_b[:1]:
+            print(f"{'shape':>10}  {label}")
+            continue
+        worst, where, text = 0.0, "", False
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            for column, x, y in zip(rows_a[0], row_a, row_b):
+                move = relative_move(x, y)
+                if move is None:
+                    text |= x != y
+                elif move > worst:
+                    worst, where = move, column
+        note = " (a text cell differs)" if text else ""
+        print(f"{worst:>10.2e}  {label}{' ' + where if where else ''}{note}")
+
+
 if __name__ == "__main__":
-    main_digests()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also save each run's output in DIR")
+    parser.add_argument("--max-rel", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two --keep directories instead of running")
+    args = parser.parse_args()
+    if args.max_rel:
+        max_moves(*args.max_rel)
+    else:
+        main_digests(args.keep)

@@ -423,34 +423,43 @@ def _chunk_moments(
 ) -> list[_Moments]:
     """Each cell's moments of one chunk on stream ``rng``, whose paths are
     simulated once under ``drift`` (None: the base measure, in mirrored pairs
-    for Antithetic) from the pre-drawn ``increments``, and whose payoff specs
-    are evaluated once each. Raises OptimError when a sum is not finite."""
+    of the first ceil(size / 2) rows for Antithetic) from the pre-drawn
+    ``increments``. The kernel streams the one-pass sum of every payoff the
+    cells read, and each spec is evaluated once. Raises OptimError when a
+    sum is not finite."""
     params, grid, sigma = factory.params, factory.grid, factory.sigma
     antithetic = cells[0].kind is EstimatorKind.ANTITHETIC
+    # ControlGeometric's control: the geometric payoff on the same paths
+    controls = {cell: make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, cell.spec.strike, grid.t_end)
+                for cell in cells if cell.kind is EstimatorKind.CONTROL_GEOMETRIC}
+    specs = list(dict.fromkeys([cell.spec for cell in cells] + list(controls.values())))
     if drift is not None:
         batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments,
-                               sigma=sigma)
+                               sigma=sigma, specs=specs)
     elif antithetic:
+        half = tuple(a[: (size + 1) // 2] for a in increments)
         batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
-                                     increments=increments, sigma=sigma)
+                                     increments=half, sigma=sigma, specs=specs)
     else:
-        batch = sim.simulate_p(params, grid, size, rng, increments=increments, sigma=sigma)
-    x, v, log_inv_weight = batch.x, batch.v, batch.log_inv_weight
-    del batch  # frees v_raw before the payoff's temporaries
-    payoffs, moments = {}, []
+        batch = sim.simulate_p(params, grid, size, rng, increments=increments, sigma=sigma,
+                               specs=specs)
+    log_inv_weight, payoffs, moments = batch.log_inv_weight, {}, []
+
+    def payoff(spec):
+        if spec not in payoffs:
+            g = payoff_mod.evaluate(spec, params, grid, total=batch.sums[spec])
+            payoffs[spec] = g, (g > 0.0).astype(float)
+        return payoffs[spec]
+
     for cell in cells:
-        if cell.spec not in payoffs:
-            g = payoff_mod.evaluate(cell.spec, params, grid, x, v)
-            payoffs[cell.spec] = g, (g > 0.0).astype(float)
-        g, hit = payoffs[cell.spec]
+        g, hit = payoff(cell.spec)
         if antithetic:
             m = _Moments.of(0.5 * (g[0::2] + g[1::2]), 0.5 * (hit[0::2] + hit[1::2]))
         elif cell.kind is EstimatorKind.CONTROL_GEOMETRIC:
             # unit-coefficient control: the value is arith - geo, priced as
             # E[geo] + its mean (``_report``), the classic pairing of the
             # arithmetic payoff with its exactly-priced geometric twin
-            geo = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, cell.spec.strike, grid.t_end)
-            m = _Moments.of(g - payoff_mod.evaluate(geo, params, grid, x), hit)
+            m = _Moments.of(g - payoff(controls[cell])[0], hit)
         elif drift is None:
             m = _Moments.of(g, hit)
         else:
@@ -478,17 +487,6 @@ class _ChunkGroup:
     sizes: list[int]
     increments: list[tuple[np.ndarray, np.ndarray]]
     pool: ThreadPoolExecutor
-
-    def mirror(self) -> None:
-        """Replace each chunk's block by the antithetic pairs of its first
-        ceil(size / 2) rows, which takes no more memory than the block and
-        frees it: every other measure must run before this."""
-        self.increments = list(self.pool.map(
-            lambda j: sim.mirror_increments(
-                *(a[: (self.sizes[j] + 1) // 2] for a in self.increments[j])
-            ),
-            range(len(self.sizes)),
-        ))
 
 
 @dataclass(eq=False)
@@ -571,8 +569,6 @@ def run_estimator(
     tracer reads them there to label the run.
     """
     t0 = time.perf_counter()
-    if kind is EstimatorKind.ANTITHETIC:
-        group.mirror()
     chunks = list(group.pool.map(
         lambda j: _chunk_moments(run, factory, run[0].drift[0], group.sizes[j],
                                  sim.RngSpec(seed, group.first + j), group.increments[j]),
@@ -610,8 +606,7 @@ def _run_cells(
             fail([cell], e)
             continue
         runs.setdefault(_measure(cell), []).append(cell)
-    # Antithetic goes last: it replaces the group's blocks by mirrored pairs
-    live = sorted(runs.values(), key=lambda run: run[0].kind is EstimatorKind.ANTITHETIC)
+    live = list(runs.values())
     sizes, grid = _chunk_sizes(n_paths), factory.grid
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for first in range(0, len(sizes), workers):
@@ -633,6 +628,7 @@ def _run_cells(
                     fail(run, e)
                     if any(cell.kind is EstimatorKind.CLASSIC for cell in run):
                         raise run[0].error from e
+            del group  # frees the blocks before the next group is drawn
 
 
 def _table(

@@ -77,38 +77,47 @@ class DriftSchedule:
             )
 
 
-def _modulation(batch: "PathBatch", drift: DriftSchedule):
-    """Per-step (m1, m2) with shape (n_paths, n_steps) for a fixed-mode schedule."""
-    n = batch.grid.n_steps
-    h1 = drift.h1_dot[:n][None, :]
-    h2 = drift.h2_dot[:n][None, :]
+def _channel_sums(batch: "PathBatch", drift: DriftSchedule) -> tuple:
+    """(sum_i m1_i dW_i + m2_i dW_i^perp, sum_i (m1_i^2 + m2_i^2) dt) per path
+    for a fixed-mode schedule, on the batch's increments.
+
+    A deterministic schedule's is one matrix-vector product per channel and a
+    scalar; an adaptive one reads the recorded variance. The products run in
+    numpy's own loop over column-major blocks, which adds the steps in order
+    for any layout of the increments and any number of threads: a BLAS
+    product splits the rows by thread count, and its bits move with it.
+    """
+    drift.check_grid(batch.grid)
+    n, dt = batch.grid.n_steps, batch.grid.dt
+    h1, h2 = drift.h1_dot[:n], drift.h2_dot[:n]
     if drift.mode is DriftMode.DETERMINISTIC:
-        return np.broadcast_to(h1, batch.dw.shape), np.broadcast_to(h2, batch.dw.shape)
+        dw, dwp = np.asfortranarray(batch.dw), np.asfortranarray(batch.dw_perp)
+        lin = np.einsum("ij,j->i", dw, h1) + np.einsum("ij,j->i", dwp, h2)
+        return lin, float(((h1 * h1 + h2 * h2) * dt).sum())
     if drift.mode is DriftMode.ADAPTIVE:
         sqv = np.sqrt(batch.v[:, :n])
-        return h1 * sqv, h2 * sqv
+        m1, m2 = h1 * sqv, h2 * sqv
+        lin = (m1 * batch.dw).sum(axis=1) + (m2 * batch.dw_perp).sum(axis=1)
+        return lin, ((m1 * m1 + m2 * m2) * dt).sum(axis=1)
     raise DomainError("per-step schedules retain weights at simulation time")
 
 
 def log_inverse_weight(batch: "PathBatch", drift: DriftSchedule) -> np.ndarray:
-    """log Z^{-1} per path for a batch simulated under the same drift."""
-    drift.check_grid(batch.grid)
+    """log Z^{-1} per path for a batch simulated under the same drift.
+
+    The kernel calls it for a deterministic schedule. An adaptive schedule's
+    is recomputed from the recorded variance, and a per-step one's is the
+    weight the batch retained.
+    """
     if drift.mode is DriftMode.PER_STEP_ADAPTIVE:
         if batch.log_inv_weight is None:
             raise DomainError("per-step batch is missing its retained weights")
         return batch.log_inv_weight
-    m1, m2 = _modulation(batch, drift)
-    dt = batch.grid.dt
-    lin = (m1 * batch.dw).sum(axis=1) + (m2 * batch.dw_perp).sum(axis=1)
-    quad = ((m1 * m1 + m2 * m2) * dt).sum(axis=1)
+    lin, quad = _channel_sums(batch, drift)
     return -lin - 0.5 * quad
 
 
 def log_forward_weight(batch: "PathBatch", drift: DriftSchedule) -> np.ndarray:
     """log Z per path for a batch simulated under P (martingale diagnostics)."""
-    drift.check_grid(batch.grid)
-    m1, m2 = _modulation(batch, drift)
-    dt = batch.grid.dt
-    lin = (m1 * batch.dw).sum(axis=1) + (m2 * batch.dw_perp).sum(axis=1)
-    quad = ((m1 * m1 + m2 * m2) * dt).sum(axis=1)
+    lin, quad = _channel_sums(batch, drift)
     return lin - 0.5 * quad

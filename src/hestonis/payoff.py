@@ -8,6 +8,10 @@ the left-endpoint Riemann-Stieltjes discretization of the weighted path
 integral. With S_t = s0 exp(r t + X_t), the payoff is (exp(m + y) - K)^+
 where m = log(s0) + r * integral(alpha). alpha = 1 recovers the European
 call on S_T; alpha_t = (T - t)/T the call on the geometric average of S.
+
+Every payoff is a one-pass sum over the steps (``PathSum``: the path kernel
+adds to it step by step, or ``stored_sum`` reads it off stored paths) and a
+terminal map from that sum to the payoff (``evaluate``).
 """
 
 from __future__ import annotations
@@ -91,65 +95,89 @@ def log_forward(spec: PayoffSpec, params: HestonParams) -> float:
     return float(np.log(params.s0) + params.r * spec.weight.integral)
 
 
-def aggregate_log_return(x_paths: np.ndarray, alpha_knots: np.ndarray) -> np.ndarray:
-    """Left-endpoint sum sum_i alpha_i (X_{i+1} - X_i) along the last axis."""
-    dx = np.diff(x_paths, axis=-1)
-    return dx @ alpha_knots[:-1]
+def _weight(spec: PayoffSpec, t_end: float) -> WeightPath:
+    """The spec's weight path, or its kind's: geometric for the geometric Asian, 1 for the European."""
+    if spec.weight is not None:
+        return spec.weight
+    if spec.kind is PayoffKind.EUROPEAN_CALL:
+        return european_weight(t_end)
+    return geometric_weight(t_end)
 
 
-def eval_geometric_asian(
-    x_paths: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class PathSum:
+    """The one-pass sum over the steps i < n that a payoff reads off each path:
+
+        weighted call        y = sum_i alpha_i dX_i     (European: alpha = 1, y = X_T)
+        arithmetic Asian     a = sum_i S_i
+        variance indicator   q = sum_i V_i 1{S_i >= K}
+
+    with S_i = s0 e^{r t_i + X_i} and dX_i = X_{i+1} - X_i. ``term`` is the
+    addend of step i from its left-point state; given the slice of every step
+    and states whose last axis is time, it is all of them at once. Sums with
+    equal ``key`` are equal: only the indicator's reads the strike.
+    """
+
+    kind: str  # "weighted", "spot" or "variance"
+    alpha: np.ndarray | None = None  # the weight on the knots (weighted sums)
+    strike: float | None = None  # the indicator's strike
+
+    @property
+    def key(self) -> tuple:
+        return self.kind, self.strike, None if self.alpha is None else self.alpha.tobytes()
+
+    @property
+    def reads_spot(self) -> bool:
+        return self.kind != "weighted"
+
+    def term(self, i, dx, v, s):
+        """Step i's addend from dX_i, V_i and S_i (None where not read)."""
+        if self.kind == "weighted":
+            return self.alpha[i] * dx
+        if self.kind == "spot":
+            return s
+        return v * (s >= self.strike)
+
+
+def path_sum(spec: PayoffSpec, grid: TimeGrid) -> PathSum:
+    """The one-pass sum ``spec``'s payoff reads."""
+    if spec.kind is PayoffKind.VOL_INDICATOR_SWAP:
+        return PathSum("variance", strike=spec.strike)
+    if spec.kind is PayoffKind.ARITHMETIC_ASIAN_CALL:
+        return PathSum("spot")
+    return PathSum("weighted", alpha=_weight(spec, grid.t_end).on_grid(grid))
+
+
+def stored_sum(
+    spec: PayoffSpec,
     params: HestonParams,
-    strike: float,
     grid: TimeGrid,
-    weight: WeightPath | None = None,
+    x_paths: np.ndarray,
+    v_paths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(s0 e^{rT/2} exp(sum alpha dX) - K)^+ on each path (paths start at 0)."""
-    w = weight if weight is not None else geometric_weight(grid.t_end)
-    y = aggregate_log_return(x_paths, w.on_grid(grid))
-    m = np.log(params.s0) + params.r * w.integral
-    return np.maximum(np.exp(m + y) - strike, 0.0)
-
-
-def eval_european(
-    x_paths: np.ndarray, params: HestonParams, strike: float
-) -> np.ndarray:
-    """(s0 e^{rT + X_T} - K)^+ on each path."""
-    xt = np.asarray(x_paths)[..., -1]
-    return np.maximum(
-        params.s0 * np.exp(params.r * params.t_end + xt) - strike, 0.0
-    )
-
-
-def eval_arithmetic_asian(
-    x_paths: np.ndarray, params: HestonParams, strike: float, grid: TimeGrid
-) -> np.ndarray:
-    """(mean_{i<n} s0 e^{r t_i + X_i} - K)^+, left-endpoint average of the spot."""
-    t = grid.knots[:-1]
-    s = params.s0 * np.exp(params.r * t + np.asarray(x_paths)[..., :-1])
-    return np.maximum(s.mean(axis=-1) - strike, 0.0)
-
-
-def eval_vol_indicator(
-    v_paths: np.ndarray, s_paths: np.ndarray, strike: float, grid: TimeGrid
-) -> np.ndarray:
-    """Left-endpoint sum sum_{i<n} V_i 1{S_i >= K} dt."""
-    v = np.asarray(v_paths)[..., :-1]
-    ind = np.asarray(s_paths)[..., :-1] >= strike
-    return (v * ind).sum(axis=-1) * grid.dt
+    """``spec``'s one-pass sum read off stored paths (last axis: the n + 1 knots)."""
+    ps = path_sum(spec, grid)
+    x = np.asarray(x_paths)
+    n = grid.n_steps
+    s = params.s0 * np.exp(params.r * grid.knots + x)[..., :n] if ps.reads_spot else None
+    if ps.kind == "variance":
+        if v_paths is None:
+            raise DomainError("vol indicator swap needs the variance paths")
+        v_paths = np.asarray(v_paths)[..., :n]
+    return ps.term(slice(0, n), np.diff(x, axis=-1), v_paths, s).sum(axis=-1)
 
 
 def log_vol_indicator(
     phi_dot: np.ndarray, v: np.ndarray, params: HestonParams, strike: float, grid: TimeGrid
 ) -> float:
-    """log of ``eval_vol_indicator`` on one deterministic path; -inf where it vanishes.
+    """log of the variance-indicator payoff on one deterministic path; -inf where it vanishes.
 
     The log-price X integrates the rate ``phi_dot`` at left points from X_0 = 0,
     S = s0 e^{rt + X} as in ``evaluate``, and ``v`` is the variance path.
     """
     x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * grid.dt)])
-    s = params.s0 * np.exp(params.r * grid.knots + x)
-    val = float(eval_vol_indicator(v, s, strike, grid))
+    spec = PayoffSpec(PayoffKind.VOL_INDICATOR_SWAP, strike)
+    val = float(evaluate(spec, params, grid, x, v))
     return np.log(val) if val > 0.0 else -np.inf
 
 
@@ -157,19 +185,20 @@ def evaluate(
     spec: PayoffSpec,
     params: HestonParams,
     grid: TimeGrid,
-    x_paths: np.ndarray,
+    x_paths: np.ndarray | None = None,
     v_paths: np.ndarray | None = None,
+    total: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dispatch a batch of paths to the payoff of ``spec``."""
-    if spec.kind is PayoffKind.GEOMETRIC_ASIAN_CALL:
-        return eval_geometric_asian(x_paths, params, spec.strike, grid, spec.weight)
-    if spec.kind is PayoffKind.EUROPEAN_CALL:
-        return eval_european(x_paths, params, spec.strike)
-    if spec.kind is PayoffKind.ARITHMETIC_ASIAN_CALL:
-        return eval_arithmetic_asian(x_paths, params, spec.strike, grid)
+    """``spec``'s payoff per path: the terminal map of its one-pass sum.
+
+    The sum is ``total`` when the kernel streamed it (``PathBatch.sums``), and
+    is read off the stored paths ``x_paths`` (and ``v_paths``) otherwise.
+    """
+    if total is None:
+        total = stored_sum(spec, params, grid, x_paths, v_paths)
     if spec.kind is PayoffKind.VOL_INDICATOR_SWAP:
-        if v_paths is None:
-            raise DomainError("vol indicator swap needs the variance paths")
-        s = params.s0 * np.exp(params.r * grid.knots + np.asarray(x_paths))
-        return eval_vol_indicator(v_paths, s, spec.strike, grid)
-    raise DomainError(f"unknown payoff kind {spec.kind}")
+        return total * grid.dt
+    if spec.kind is PayoffKind.ARITHMETIC_ASIAN_CALL:
+        return np.maximum(total / grid.n_steps - spec.strike, 0.0)
+    m = np.log(params.s0) + params.r * _weight(spec, grid.t_end).integral
+    return np.maximum(np.exp(m + total) - spec.strike, 0.0)

@@ -17,17 +17,22 @@ Q-increments so weights can be recomputed after the fact.
 
 Given a constant volatility sigma the same kernel runs with the variance
 frozen at sigma^2 on the one channel dW (loading (1, 0)): no variance
-recursion runs, X_{i+1} = X_i - sigma^2/2 dt + sigma dW_i, and the batch
-stores no variance paths.
+recursion runs, X_{i+1} = X_i - sigma^2/2 dt + sigma dW_i.
 
 Normals come from the counter-based Philox generator through the inverse CDF,
 so parallel chunks with distinct stream offsets are reproducible bit for bit.
 
-Every path matrix is stored column-major (Fortran order): the scheme steps
-all paths through time i at once, so column i of each array is the one
-contiguous vector of n_paths values that step reads or writes. Row-major
-storage puts consecutive paths a row apart, and every vector operation of a
-step then strides across the whole matrix.
+The kernel is one time-major sweep: it steps all paths through time i at
+once, and from step to step it keeps per-path vectors only (the variance
+state, X, the log-weight of an adaptive or per-step drift, and each
+requested payoff's one-pass sum, ``payoff.PathSum``, added to at every
+step). A streamed batch therefore holds the two increment blocks it read
+and vectors of n_paths values, no path; ``payoff.evaluate`` maps each sum to
+the payoff. A deterministic drift's log-weight is computed after the sweep,
+one matrix-vector product per channel. Asked for no payoff, the same sweep
+records every path instead. Increment blocks and recorded paths are
+column-major (Fortran order), so column i, the vector step i reads or
+writes, is contiguous.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from . import payoff
 from .errors import DomainError
-from .measure import DriftMode, DriftSchedule
+from .measure import DriftMode, DriftSchedule, log_inverse_weight
 from .model import HestonParams, TimeGrid
 
 
@@ -56,22 +62,27 @@ class RngSpec:
 
 @dataclass
 class PathBatch:
-    """Simulated paths with the Brownian increments retained for reweighting.
+    """A simulated batch: the increments the kernel read, the weights, and
+    either the recorded paths or each payoff's one-pass sum.
 
-    x, v, v_raw have shape (n_paths, n_steps + 1), and v, v_raw are None
-    under a frozen (constant) variance; dw, dw_perp have shape (n_paths,
-    n_steps) and hold the increments of the simulating measure.
-    The arrays this module allocates are column-major, so the values of one
-    time step are contiguous (the scheme's access pattern).
+    A recorded batch (no payoff specs given) holds x, v, v_raw of shape
+    (n_paths, n_steps + 1), with v, v_raw None under a frozen (constant)
+    variance, and dw, dw_perp of shape (n_paths, n_steps): the increments of
+    the simulating measure, path by path. A streamed batch holds no path: x,
+    v and v_raw are None, ``sums`` maps each spec to its one-pass sum per
+    path (``payoff.PathSum``), and dw, dw_perp are the blocks the kernel
+    stepped on (for antithetic pairs, the n_paths / 2 rows it mirrors).
+    The arrays this module allocates are column-major.
     """
 
-    x: np.ndarray
+    x: np.ndarray | None
     v: np.ndarray | None
     v_raw: np.ndarray | None
     dw: np.ndarray
     dw_perp: np.ndarray
     grid: TimeGrid
     log_inv_weight: np.ndarray | None = None
+    sums: dict[payoff.PayoffSpec, np.ndarray] | None = None
 
 
 #: Rows drawn, transformed and stored per pass of ``normal_increments``.
@@ -115,75 +126,159 @@ def _evolve(
     dw_perp: np.ndarray,
     drift: DriftSchedule | None,
     sigma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Run the scheme; returns (x, v, v_raw, log_inv_weight or None).
+    specs: list[payoff.PayoffSpec] | None = None,
+    mirror: bool = False,
+) -> PathBatch:
+    """Run the scheme in one time-major sweep over the steps.
 
-    A constant ``sigma`` freezes the variance at sigma^2 on the channel dW
-    alone: v and v_raw are then None.
+    From step to step only per-path vectors live: the untruncated and
+    truncated variance, X, the log-weight of an adaptive or per-step drift,
+    the per-step drift's weighted return, and the one-pass sum of each of
+    ``specs``, the payoffs to stream. Without ``specs`` the sweep records
+    every path instead. A deterministic drift's log-weight is computed after
+    the sweep (``log_inverse_weight``). A constant ``sigma`` freezes the
+    variance at sigma^2 on the channel dW alone. ``mirror`` steps 2m paths on
+    m rows of increments: path 2k on row k and path 2k+1 on its negation.
     """
-    n_paths, n = dw.shape
-    dt = grid.dt
+    rows, n = dw.shape
+    n_paths = 2 * rows if mirror else rows
+    dt, knots = grid.dt, grid.knots
     k, th, xi = params.kappa, params.theta, params.xi
     rho, rho_bar = params.rho, params.rho_bar
+    record = specs is None
+    heston = sigma is None
+    mode = drift.mode if drift is not None else None
+    per_step = mode is DriftMode.PER_STEP_ADAPTIVE
 
-    x = np.zeros((n_paths, n + 1), order="F")
-    if sigma is None:
-        v = np.empty((n_paths, n + 1), order="F")
-        v_raw = np.empty((n_paths, n + 1), order="F")
-        v_raw[:, 0] = params.v0
-        v[:, 0] = params.v0
+    # per-path state, and work vectors that the scheme's arithmetic reuses
+    # at every step, so that it allocates nothing and stays in cache
+    x = np.zeros(n_paths)
+    dx, a, b, dwi, dwpi, s = (np.empty(n_paths) for _ in range(6))
+    if heston:
+        v_raw = np.full(n_paths, params.v0)
+        vplus, sq = v_raw.copy(), np.empty(n_paths)
     else:
-        v = v_raw = None
         vplus, sq = sigma * sigma, sigma
-
-    per_step = drift is not None and drift.mode is DriftMode.PER_STEP_ADAPTIVE
-    logw = np.zeros(n_paths) if drift is not None else None
+    if mirror:
+        dq, dqp = np.empty(n_paths), np.empty(n_paths)
+    if mode is DriftMode.ADAPTIVE:
+        m1, m2 = np.empty(n_paths), np.empty(n_paths)
+    logw = np.zeros(n_paths) if mode in (DriftMode.ADAPTIVE, DriftMode.PER_STEP_ADAPTIVE) else None
     y_acc = np.zeros(n_paths) if per_step else None
-    alpha = drift.alpha_knots if per_step else None
+
+    spec_keys, sums = {}, {}
+    for spec in specs or ():
+        ps = payoff.path_sum(spec, grid)
+        spec_keys[spec] = ps.key
+        sums.setdefault(ps.key, (ps, np.zeros(n_paths)))
+    spot = any(ps.reads_spot for ps, _ in sums.values())
+
+    if record:
+        xs = np.zeros((n_paths, n + 1), order="F")
+        vs = vrs = None
+        if heston:
+            vs = np.empty((n_paths, n + 1), order="F")
+            vrs = np.empty((n_paths, n + 1), order="F")
+            vs[:, 0] = vrs[:, 0] = params.v0
+        if mirror:
+            dw_rec = np.empty((n_paths, n), order="F")
+            dwp_rec = np.empty((n_paths, n), order="F")
 
     for i in range(n):
-        if v is not None:
-            vplus = v[:, i]
-            sq = np.sqrt(vplus)
-        if drift is None:
-            dwi, dwpi = dw[:, i], dw_perp[:, i]
+        if heston:
+            np.sqrt(vplus, out=sq)
+        if mirror:
+            dq[0::2], dqp[0::2] = dw[:, i], dw_perp[:, i]
+            np.negative(dw[:, i], out=dq[1::2])
+            np.negative(dw_perp[:, i], out=dqp[1::2])
+            if record:
+                dw_rec[:, i], dwp_rec[:, i] = dq, dqp
+        else:
+            dq, dqp = dw[:, i], dw_perp[:, i]
+        if mode is None:
+            dwi, dwpi = dq, dqp
         else:
             if per_step:
                 m1, m2 = drift.step_fn(i, y_acc, vplus)
-            elif drift.mode is DriftMode.ADAPTIVE:
-                m1 = drift.h1_dot[i] * sq
-                m2 = drift.h2_dot[i] * sq
+            elif mode is DriftMode.ADAPTIVE:
+                np.multiply(sq, drift.h1_dot[i], out=m1)
+                np.multiply(sq, drift.h2_dot[i], out=m2)
             else:
-                m1 = drift.h1_dot[i]
-                m2 = drift.h2_dot[i]
-            dwi = dw[:, i] + m1 * dt
-            dwpi = dw_perp[:, i] + m2 * dt
-            logw -= m1 * dw[:, i] + m2 * dw_perp[:, i] + 0.5 * (m1 * m1 + m2 * m2) * dt
-        if v is None:
-            dx = -0.5 * vplus * dt + sq * dwi
+                m1, m2 = drift.h1_dot[i], drift.h2_dot[i]
+            # the shifted increments dW + m dt, and the weight's
+            # m1 dW + m2 dW^perp + (m1^2 + m2^2) dt / 2 in the Q-increments
+            np.multiply(m1, dt, out=dwi)
+            dwi += dq
+            np.multiply(m2, dt, out=dwpi)
+            dwpi += dqp
+            if logw is not None:
+                np.multiply(m1, dq, out=a)
+                np.multiply(m2, dqp, out=b)
+                a += b
+                m1 *= m1
+                m2 *= m2
+                m1 += m2
+                m1 *= 0.5
+                m1 *= dt
+                a += m1
+                logw -= a
+        # dX = -V dt / 2 + sqrt(V) (rho dW + rho_bar dW^perp), or sigma dW frozen
+        if heston:
+            np.multiply(dwi, rho, out=a)
+            np.multiply(dwpi, rho_bar, out=b)
+            a += b
+            a *= sq
+            np.multiply(vplus, -0.5, out=dx)
+            dx *= dt
+            dx += a
         else:
-            v_raw[:, i + 1] = vplus_next = (
-                v_raw[:, i] + k * (th - vplus) * dt + xi * sq * dwi
-            )
-            v[:, i + 1] = np.maximum(vplus_next, 0.0)
-            dx = -0.5 * vplus * dt + sq * (rho * dwi + rho_bar * dwpi)
-        x[:, i + 1] = x[:, i] + dx
+            np.multiply(dwi, sq, out=dx)
+            dx += -0.5 * vplus * dt
+        if spot:  # S_i = s0 e^{r t_i + X_i}
+            np.add(x, params.r * knots[i], out=s)
+            np.exp(s, out=s)
+            s *= params.s0
+        for ps, total in sums.values():
+            total += ps.term(i, dx, vplus, s)
         if per_step:
-            y_acc += alpha[i] * dx
-    return x, v, v_raw, logw
+            y_acc += drift.alpha_knots[i] * dx
+        x += dx
+        if heston:  # Vt += kappa (theta - V) dt + xi sqrt(V) dW; V = Vt^+
+            np.subtract(th, vplus, out=a)
+            a *= k
+            a *= dt
+            v_raw += a
+            np.multiply(sq, xi, out=b)
+            b *= dwi
+            v_raw += b
+            np.maximum(v_raw, 0.0, out=vplus)
+        if record:
+            xs[:, i + 1] = x
+            if heston:
+                vrs[:, i + 1], vs[:, i + 1] = v_raw, vplus
+
+    if record:
+        batch = PathBatch(xs, vs, vrs, dw_rec if mirror else dw,
+                          dwp_rec if mirror else dw_perp, grid, logw)
+    else:
+        batch = PathBatch(None, None, None, dw, dw_perp, grid, logw,
+                          {spec: sums[key][1] for spec, key in spec_keys.items()})
+    if mode is DriftMode.DETERMINISTIC:
+        batch.log_inv_weight = log_inverse_weight(batch, drift)
+    return batch
 
 
 def _take_increments(
-    rng: RngSpec, n_paths: int, grid: TimeGrid, increments
+    rng: RngSpec, n_rows: int, grid: TimeGrid, increments
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-drawn (dw, dw_perp) blocks of ``n_paths`` rows, or a fresh draw from ``rng``."""
+    """Pre-drawn (dw, dw_perp) blocks of ``n_rows`` rows, or a fresh draw from ``rng``."""
     if increments is None:
-        return normal_increments(rng, n_paths, grid.n_steps, grid.dt)
+        return normal_increments(rng, n_rows, grid.n_steps, grid.dt)
     dw, dwp = increments
-    if dw.shape != (n_paths, grid.n_steps) or dwp.shape != dw.shape:
+    if dw.shape != (n_rows, grid.n_steps) or dwp.shape != dw.shape:
         raise DomainError(
             f"increments of shape {dw.shape}/{dwp.shape} do not match "
-            f"({n_paths}, {grid.n_steps})"
+            f"({n_rows}, {grid.n_steps})"
         )
     return dw, dwp
 
@@ -195,15 +290,16 @@ def simulate_p(
     rng: RngSpec,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
     sigma: float | None = None,
+    specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:
     """Paths under the base measure; a constant ``sigma`` freezes the variance.
 
     ``increments`` are the (dw, dw_perp) blocks ``normal_increments(rng, ...)``
-    would return, when the caller has already drawn them.
+    would return, when the caller has already drawn them. Given payoff
+    ``specs``, the batch streams their one-pass sums and stores no path.
     """
     dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None, sigma)
-    return PathBatch(x, v, v_raw, dw, dwp, grid)
+    return _evolve(params, grid, dw, dwp, None, sigma, specs)
 
 
 def simulate_q(
@@ -214,24 +310,12 @@ def simulate_q(
     drift: DriftSchedule,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
     sigma: float | None = None,
+    specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:
-    """Paths under the drift-shifted measure; retains Q-increments and weights."""
+    """``simulate_p`` under the drift-shifted measure; retains Q-increments and weights."""
     drift.check_grid(grid)
     dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, logw = _evolve(params, grid, dw, dwp, drift, sigma)
-    return PathBatch(x, v, v_raw, dw, dwp, grid, log_inv_weight=logw)
-
-
-def mirror_increments(
-    dw_half: np.ndarray, dwp_half: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Antithetic blocks of 2m rows from m rows: row 2k is row k, row 2k+1 its negation."""
-    out = []
-    for half in (dw_half, dwp_half):
-        full = np.empty((2 * half.shape[0], half.shape[1]), order="F")
-        full[0::2], full[1::2] = half, -half
-        out.append(full)
-    return out[0], out[1]
+    return _evolve(params, grid, dw, dwp, drift, sigma, specs)
 
 
 def antithetic_pairs(
@@ -241,19 +325,14 @@ def antithetic_pairs(
     rng: RngSpec,
     increments: tuple[np.ndarray, np.ndarray] | None = None,
     sigma: float | None = None,
+    specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:
-    """Mirrored-increment pairs: path 2k+1 negates the increments of path 2k.
+    """``simulate_p`` in mirrored pairs: path 2k+1 negates the increments of path 2k.
 
-    ``increments``, when given, are the mirrored (dw, dw_perp) blocks that
-    ``mirror_increments`` builds from the first ``n_paths // 2`` rows of the
-    stream's draw.
+    The pairs step on the first ``n_paths // 2`` rows of the stream's draw,
+    which ``increments`` holds when the caller has already drawn them.
     """
     if n_paths % 2 != 0:
         raise DomainError("antithetic batches need an even number of paths")
-    if increments is None:
-        increments = mirror_increments(
-            *normal_increments(rng, n_paths // 2, grid.n_steps, grid.dt)
-        )
-    dw, dwp = _take_increments(rng, n_paths, grid, increments)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None, sigma)
-    return PathBatch(x, v, v_raw, dw, dwp, grid)
+    dw, dwp = _take_increments(rng, n_paths // 2, grid, increments)
+    return _evolve(params, grid, dw, dwp, None, sigma, specs, mirror=True)

@@ -137,9 +137,8 @@ def test_geometric_price_closed_form_matches_mc(params, small_grid):
         [np.zeros((n, 1)), np.cumsum(-0.5 * sigma**2 * small_grid.dt + sigma * dw, axis=1)],
         axis=1,
     )
-    from hestonis.payoff import eval_geometric_asian
-
-    g = eval_geometric_asian(x, params, strike, small_grid)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, small_grid.t_end)
+    g = evaluate(spec, params, small_grid, x)
     se = g.std(ddof=1) / np.sqrt(n)
     assert abs(g.mean() - exact) <= 4.0 * se
 

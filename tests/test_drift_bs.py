@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 from hestonis import drift_bs, varopt
-from hestonis.bench import DriftFactory, EstimatorKind
 from hestonis.drift_bs import (
     BETA_BRACKET_HI,
     BETA_BRACKET_LO,
@@ -19,7 +18,6 @@ from hestonis.drift_bs import (
     _vector_bs_root,
 )
 from hestonis.errors import OptimError
-from hestonis.measure import DriftMode
 from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, make_payoff
 
@@ -102,15 +100,6 @@ class TestDriftEmbedding:
         d = bs_drift(red.beta_star, sigma, red.alpha, params.rho)
         lhs = params.rho * d.h1_dot + params.rho_bar * d.h2_dot
         assert np.abs(lhs - red.beta_star * red.alpha * sigma).max() <= 1e-14
-
-    def test_adaptive_profile_divides_out_sigma(self, params, grid):
-        spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
-        factory = DriftFactory(params, grid)
-        det, _ = factory.build(EstimatorKind.BS, spec)
-        ada, _ = factory.build(EstimatorKind.BS_A, spec)
-        assert (det.mode, ada.mode) == (DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE)
-        sigma = np.sqrt(psi_deterministic(params, grid))
-        assert_allclose(ada.h1_dot * sigma, det.h1_dot, atol=1e-14)
 
 
 def test_single_atom_oracle_reproduces_root(params):

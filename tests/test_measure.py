@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,28 @@ def test_inline_weights_match_standalone(params, grid):
         batch = simulate_q(params, grid, 400, RngSpec(3), drift)
         recomputed = log_inverse_weight(batch, drift)
         np.testing.assert_allclose(batch.log_inv_weight, recomputed, atol=1e-12)
+
+
+def test_deterministic_weight_adds_the_steps_in_order(params):
+    # the reference loop: each channel's steps added one column at a time,
+    # whatever the layout of the increments; a BLAS product's bits follow
+    # its thread count instead
+    grid, n = TimeGrid(40, 1.0), 3_001
+    h1, h2 = np.linspace(0.7, -0.4, grid.n_steps + 1), np.linspace(-0.2, 0.5, grid.n_steps + 1)
+    drift = DriftSchedule(DriftMode.DETERMINISTIC, h1, h2)
+    batch = simulate_q(params, grid, n, RngSpec(12, 3), drift)
+    lin = []
+    for h, block in ((h1, batch.dw), (h2, batch.dw_perp)):
+        acc = np.zeros(n)
+        for i in range(grid.n_steps):
+            acc += block[:, i] * h[i]
+        lin.append(acc)
+    quad = float(((h1[:-1] ** 2 + h2[:-1] ** 2) * grid.dt).sum())
+    want = -(lin[0] + lin[1]) - 0.5 * quad
+    assert np.array_equal(batch.log_inv_weight, want)
+    rows = dataclasses.replace(batch, dw=np.ascontiguousarray(batch.dw),
+                               dw_perp=np.ascontiguousarray(batch.dw_perp))
+    assert np.array_equal(log_inverse_weight(rows, drift), want)
 
 
 def test_grid_mismatch_rejected(params, grid):

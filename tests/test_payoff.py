@@ -7,27 +7,36 @@ from hestonis.errors import DomainError
 from hestonis.model import TimeGrid
 from hestonis.payoff import (
     PayoffKind,
-    aggregate_log_return,
-    eval_european,
-    eval_geometric_asian,
-    eval_vol_indicator,
-    geometric_weight,
+    PayoffSpec,
+    evaluate,
     log_forward,
     log_vol_indicator,
     make_payoff,
+    stored_sum,
 )
+
+
+def _geometric(x, params, strike, grid):
+    return evaluate(make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, strike, grid.t_end),
+                    params, grid, x)
+
+
+def _vol_indicator(v, s, strike, grid, params):
+    """The variance-indicator payoff of the variance path ``v`` and spot path ``s``."""
+    x = np.log(s / params.s0) - params.r * grid.knots
+    return evaluate(PayoffSpec(PayoffKind.VOL_INDICATOR_SWAP, strike), params, grid, x, v)
 
 
 def test_flat_path_at_the_money(params, grid):
     flat = np.zeros(grid.n_steps + 1)
-    value = eval_geometric_asian(flat, params, 50.0, grid)
+    value = _geometric(flat, params, 50.0, grid)
     assert value == pytest.approx(50.0 * np.exp(0.025) - 50.0, abs=1e-12)
     assert value == pytest.approx(1.2658, abs=5e-5)
 
 
 def test_flat_path_zero_strike(params, grid):
     flat = np.zeros(grid.n_steps + 1)
-    assert eval_geometric_asian(flat, params, 0.0, grid) == pytest.approx(
+    assert _geometric(flat, params, 0.0, grid) == pytest.approx(
         50.0 * np.exp(0.025), abs=1e-12
     )
 
@@ -41,7 +50,7 @@ def test_zero_noise_euler_path_two_discretizations_agree(params, grid):
         v[i + 1] = v[i] + params.kappa * (params.theta - v[i]) * dt
     x = np.concatenate([[0.0], np.cumsum(-0.5 * v[:-1] * dt)])
 
-    via_weight = eval_geometric_asian(x, params, 50.0, grid)
+    via_weight = _geometric(x, params, 50.0, grid)
     # same payoff through the average of the log path (right-endpoint sum,
     # the summation-by-parts twin of the left-endpoint weighted increments)
     avg = x[1:].sum() * dt / grid.t_end
@@ -52,9 +61,8 @@ def test_zero_noise_euler_path_two_discretizations_agree(params, grid):
 def test_european_reads_terminal_value(params, grid):
     x = np.zeros(grid.n_steps + 1)
     x[-1] = 0.1
-    assert eval_european(x, params, 40.0) == pytest.approx(
-        50.0 * np.exp(0.05 + 0.1) - 40.0
-    )
+    spec = make_payoff(PayoffKind.EUROPEAN_CALL, 40.0, grid.t_end)
+    assert evaluate(spec, params, grid, x) == pytest.approx(50.0 * np.exp(0.05 + 0.1) - 40.0)
 
 
 class TestVolIndicator:
@@ -62,19 +70,19 @@ class TestVolIndicator:
         g = TimeGrid(252, 1.0)
         v = np.full(g.n_steps + 1, 0.04)
         s = np.full(g.n_steps + 1, 50.0)
-        assert eval_vol_indicator(v, s, 10.0, g) == pytest.approx(0.04)
+        assert _vol_indicator(v, s, 10.0, g, params) == pytest.approx(0.04)
 
     def test_indicator_always_off(self, params):
         g = TimeGrid(252, 1.0)
         v = np.full(g.n_steps + 1, 0.04)
         s = np.full(g.n_steps + 1, 50.0)
-        assert eval_vol_indicator(v, s, 100.0, g) == 0.0
+        assert _vol_indicator(v, s, 100.0, g, params) == 0.0
 
-    def test_crossing_at_half_horizon(self):
+    def test_crossing_at_half_horizon(self, params):
         g = TimeGrid(2, 1.0)
         v = np.full(3, 0.04)
         s = np.array([60.0, 40.0, 40.0])  # on at t0, off at t1
-        assert eval_vol_indicator(v, s, 50.0, g) == pytest.approx(0.02)
+        assert _vol_indicator(v, s, 50.0, g, params) == pytest.approx(0.02)
 
     def test_log_functional_is_the_log_of_the_path_payoff(self, params):
         g = TimeGrid(64, 1.0)
@@ -86,7 +94,7 @@ class TestVolIndicator:
             strike = float(gen.uniform(10.0, 70.0))
             x = np.concatenate([[0.0], np.cumsum(phi_dot[:-1] * g.dt)])
             s = params.s0 * np.exp(params.r * g.knots + x)
-            want = float(eval_vol_indicator(v, s, strike, g))
+            want = float((v[:-1] * (s[:-1] >= strike)).sum() * g.dt)
             got = log_vol_indicator(phi_dot, v, params, strike, g)
             if want > 0.0:
                 assert got == np.log(want)  # bit for bit
@@ -167,11 +175,11 @@ def test_log_payoff_slope_matches_finite_differences(params, y, strike):
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
-def test_weighted_increments_equal_average_by_parts(seed):
+def test_weighted_increments_equal_average_by_parts(params, seed):
     # sum alpha(t_i) dX_i == (dt/T) sum_{i>=1} X_i for any path with X_0 = 0
     g = TimeGrid(36, 1.0)
     gen = np.random.Generator(np.random.Philox(seed))
     x = np.concatenate([[0.0], np.cumsum(gen.normal(0.0, 0.05, g.n_steps))])
-    lhs = aggregate_log_return(x, geometric_weight(1.0).on_grid(g))
+    lhs = stored_sum(make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, 1.0), params, g, x)
     rhs = x[1:].sum() * g.dt / g.t_end
     assert lhs == pytest.approx(rhs, abs=1e-12)

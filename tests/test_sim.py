@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,13 +9,11 @@ from hestonis.drift_bs import bs_fully_adaptive
 from hestonis.errors import DomainError
 from hestonis.measure import DriftMode, DriftSchedule, log_inverse_weight
 from hestonis.model import TimeGrid
-from hestonis.payoff import PayoffKind, make_payoff
+from hestonis.payoff import PayoffKind, evaluate, make_payoff
 from hestonis.sim import (
     DRAW_ROWS,
     RngSpec,
-    _evolve,
     antithetic_pairs,
-    mirror_increments,
     normal_increments,
     simulate_p,
     simulate_q,
@@ -25,9 +25,17 @@ def _zero_increments(grid, n_paths=1):
     return z, z.copy()
 
 
+def _recorded(params, grid, increments, drift=None):
+    """The batch recorded on ``increments``, under ``drift`` if given."""
+    n, rng = increments[0].shape[0], RngSpec(0)
+    if drift is None:
+        return simulate_p(params, grid, n, rng, increments)
+    return simulate_q(params, grid, n, rng, drift, increments)
+
+
 def test_zero_noise_first_step(params, grid):
-    dw, dwp = _zero_increments(grid)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, None)
+    b = _recorded(params, grid, _zero_increments(grid))
+    x, v_raw = b.x, b.v_raw
     dt = grid.dt
     assert v_raw[0, 1] == pytest.approx(0.04 + 2.0 * 0.05 * dt, abs=1e-15)
     assert v_raw[0, 1] == pytest.approx(0.0403968, abs=5e-7)
@@ -98,8 +106,7 @@ def test_frozen_variance_is_the_constant_vol_euler_path(params):
 def test_deterministic_shift_first_step(params, grid, c):
     h = np.full(grid.n_steps + 1, c)
     drift = DriftSchedule(DriftMode.DETERMINISTIC, h, np.zeros_like(h))
-    dw, dwp = _zero_increments(grid)
-    x, v, v_raw, _ = _evolve(params, grid, dw, dwp, drift)
+    v_raw = _recorded(params, grid, _zero_increments(grid), drift).v_raw
     dt = grid.dt
     expected = params.v0 + params.kappa * (params.theta - params.v0) * dt \
         + params.xi * np.sqrt(params.v0) * c * dt
@@ -110,8 +117,7 @@ def test_adaptive_shift_first_step(params, grid):
     c = 0.9
     h = np.full(grid.n_steps + 1, c)
     drift = DriftSchedule(DriftMode.ADAPTIVE, h, np.zeros_like(h))
-    dw, dwp = _zero_increments(grid)
-    _, _, v_raw, _ = _evolve(params, grid, dw, dwp, drift)
+    v_raw = _recorded(params, grid, _zero_increments(grid), drift).v_raw
     dt = grid.dt
     expected = params.v0 + params.kappa * (params.theta - params.v0) * dt \
         + params.xi * params.v0 * c * dt
@@ -155,10 +161,8 @@ def test_l1_refinement_contraction(params):
     v_ends = {}
     for factor in (4, 2, 1):
         g = TimeGrid(256 // factor, 1.0)
-        _, v, _, _ = _evolve(
-            params, g, coarsen(dw_f, factor), coarsen(dwp_f, factor), None
-        )
-        v_ends[g.n_steps] = v[:, -1]
+        b = _recorded(params, g, (coarsen(dw_f, factor), coarsen(dwp_f, factor)))
+        v_ends[g.n_steps] = b.v[:, -1]
     d_coarse = np.abs(v_ends[64] - v_ends[128]).mean()
     d_fine = np.abs(v_ends[128] - v_ends[256]).mean()
     assert d_fine < d_coarse
@@ -192,8 +196,7 @@ def test_pre_drawn_increments_reproduce_fresh_draws(params, grid):
         (simulate_q(params, grid, 51, rng, drift),
          simulate_q(params, grid, 51, rng, drift, block)),
         (antithetic_pairs(params, grid, 52, rng),
-         antithetic_pairs(params, grid, 52, rng,
-                          mirror_increments(block[0][:26], block[1][:26]))),
+         antithetic_pairs(params, grid, 52, rng, (block[0][:26], block[1][:26]))),
     ):
         assert np.array_equal(fresh.x, shared.x)
         assert np.array_equal(fresh.v_raw, shared.v_raw)
@@ -208,8 +211,8 @@ def test_pre_drawn_increments_of_wrong_shape_rejected(params, grid):
     block = normal_increments(RngSpec(8), 10, grid.n_steps, grid.dt)
     with pytest.raises(DomainError):
         simulate_p(params, grid, 11, RngSpec(8), block)
-    with pytest.raises(DomainError):
-        antithetic_pairs(params, grid, 20, RngSpec(8), block)
+    with pytest.raises(DomainError):  # pairs step on 5 rows, not 10
+        antithetic_pairs(params, grid, 10, RngSpec(8), block)
 
 
 def _one_shot_increments(rng, n_paths, n_steps, dt):
@@ -267,7 +270,7 @@ def _batches(params, grid, n, rng, increments):
     return [simulate_p(params, grid, n, rng, increments),
             *(simulate_q(params, grid, n, rng, d, increments)
               for d in _step_drifts(params, grid)),
-            antithetic_pairs(params, grid, n, rng, mirror_increments(*half))]
+            antithetic_pairs(params, grid, n, rng, half)]
 
 
 def test_row_major_increments_give_the_same_bits(params):
@@ -291,3 +294,78 @@ def test_batches_are_column_major(params):
     for batch in fresh + _batches(params, grid, n, rng, block):
         for a in (batch.x, batch.v, batch.v_raw, batch.dw, batch.dw_perp):
             assert a.flags.f_contiguous
+
+
+def _measures(params, grid, sigma):
+    """(name, drift, mirror) of every measure the kernel runs; the per-step
+    (BS_A2) schedule only under Heston, the one model that offers it."""
+    drifts = _step_drifts(params, grid)
+    measures = [("none", None, False), ("antithetic", None, True),
+                ("deterministic", drifts[0], False), ("adaptive", drifts[1], False)]
+    if sigma is None:
+        measures.append(("per_step", drifts[2], False))
+    return measures
+
+
+def _run(params, grid, rng, increments, drift, mirror, sigma, specs=None):
+    n = increments[0].shape[0]
+    if mirror:
+        return antithetic_pairs(params, grid, 2 * n, rng, increments, sigma, specs)
+    if drift is None:
+        return simulate_p(params, grid, n, rng, increments, sigma, specs)
+    return simulate_q(params, grid, n, rng, drift, increments, sigma, specs)
+
+
+@pytest.mark.parametrize("sigma", [None, 0.25], ids=["heston", "const_vol"])
+def test_streamed_payoffs_equal_evaluate_on_recorded_paths(params, sigma):
+    grid, rng, size = TimeGrid(32, 1.0), RngSpec(17, 4), 301  # an odd chunk
+    block = normal_increments(rng, size, grid.n_steps, grid.dt)
+    kinds = [PayoffKind.GEOMETRIC_ASIAN_CALL, PayoffKind.EUROPEAN_CALL,
+             PayoffKind.ARITHMETIC_ASIAN_CALL]
+    if sigma is None:
+        kinds.append(PayoffKind.VOL_INDICATOR_SWAP)
+    specs = [make_payoff(kind, strike, grid.t_end) for kind in kinds
+             for strike in ((0.03, 0.05) if kind is PayoffKind.VOL_INDICATOR_SWAP
+                            else (45.0, 55.0))]
+    for name, drift, mirror in _measures(params, grid, sigma):
+        # antithetic pairs of an odd chunk step on its first ceil(size / 2) rows
+        inc = tuple(a[: (size + 1) // 2] for a in block) if mirror else block
+        rec = _run(params, grid, rng, inc, drift, mirror, sigma)
+        streamed = _run(params, grid, rng, inc, drift, mirror, sigma, specs)
+        assert streamed.x is streamed.v is streamed.v_raw is None
+        for spec in specs:
+            want = evaluate(spec, params, grid, rec.x, rec.v)
+            got = evaluate(spec, params, grid, total=streamed.sums[spec])
+            assert got.shape == want.shape == (rec.x.shape[0],)
+            assert np.any(want > 0.0), (name, spec.kind, spec.strike)
+            # relative to what the strike is subtracted from: a call near the
+            # money keeps its absolute rounding but loses leading digits
+            scale = np.abs(want) + spec.strike
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (name, spec.kind, spec.strike)
+        if drift is None:
+            assert rec.log_inv_weight is streamed.log_inv_weight is None
+        else:
+            assert_allclose(streamed.log_inv_weight, rec.log_inv_weight, rtol=0.0, atol=1e-12)
+            if drift.mode is not DriftMode.PER_STEP_ADAPTIVE and sigma is None:
+                assert_allclose(streamed.log_inv_weight, log_inverse_weight(rec, drift),
+                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mirror,drift_index", [(False, None), (True, None), (False, 0),
+                                                (False, 1), (False, 2)],
+                         ids=["none", "antithetic", "deterministic", "adaptive", "per_step"])
+def test_a_streamed_chunk_stores_no_path(params, mirror, drift_index):
+    grid, rng, n = TimeGrid(64, 1.0), RngSpec(3, 1), 4000
+    block = normal_increments(rng, n, grid.n_steps, grid.dt)
+    inc = tuple(a[: n // 2] for a in block) if mirror else block
+    drift = None if drift_index is None else _step_drifts(params, grid)[drift_index]
+    specs = [make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, grid.t_end),
+             make_payoff(PayoffKind.VOL_INDICATOR_SWAP, 0.04, grid.t_end)]
+    path_matrix = n * (grid.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        _run(params, grid, rng, inc, drift, mirror, None, specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path_matrix

@@ -13,7 +13,6 @@ SRC = Path(hestonis.__file__).resolve().parent
 #: Public names that nothing in the package calls, each with the reason it stays.
 ALLOWED = {
     "run_appendix_estimator": "perfbench's tracer wraps it as the constant-vol cell",
-    "log_inverse_weight": "the standalone weight the inline one is tested against",
 }
 
 #: Fields that no attribute read in the package names, each with the reason it stays.
