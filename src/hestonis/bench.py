@@ -419,7 +419,7 @@ def _chunk_moments(
     drift: DriftSchedule | None,
     size: int,
     rng: sim.RngSpec,
-    increments: tuple[np.ndarray, np.ndarray],
+    increments: tuple[np.ndarray, np.ndarray | None],
 ) -> list[_Moments]:
     """Each cell's moments of one chunk on stream ``rng``, whose paths are
     simulated once under ``drift`` (None: the base measure, in mirrored pairs
@@ -437,7 +437,7 @@ def _chunk_moments(
         batch = sim.simulate_q(params, grid, size, rng, drift, increments=increments,
                                sigma=sigma, specs=specs)
     elif antithetic:
-        half = tuple(a[: (size + 1) // 2] for a in increments)
+        half = tuple(None if a is None else a[: (size + 1) // 2] for a in increments)
         batch = sim.antithetic_pairs(params, grid, size + size % 2, rng,
                                      increments=half, sigma=sigma, specs=specs)
     else:
@@ -485,7 +485,7 @@ class _ChunkGroup:
 
     first: int
     sizes: list[int]
-    increments: list[tuple[np.ndarray, np.ndarray]]
+    increments: list[tuple[np.ndarray, np.ndarray | None]]
     pool: ThreadPoolExecutor
 
 
@@ -608,12 +608,13 @@ def _run_cells(
         runs.setdefault(_measure(cell), []).append(cell)
     live = list(runs.values())
     sizes, grid = _chunk_sizes(n_paths), factory.grid
+    perp = factory.sigma is None  # a constant-vol model reads dW alone
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for first in range(0, len(sizes), workers):
             t0 = time.perf_counter()
             group = _ChunkGroup(first, sizes[first:first + workers], list(pool.map(
                 lambda j: sim.normal_increments(
-                    sim.RngSpec(seed, j), sizes[j], grid.n_steps, grid.dt
+                    sim.RngSpec(seed, j), sizes[j], grid.n_steps, grid.dt, perp
                 ),
                 range(first, min(first + workers, len(sizes))),
             )), pool)

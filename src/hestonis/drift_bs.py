@@ -36,7 +36,7 @@ U_LO = -745.0
 U_HI = float(np.log(BETA_BRACKET_HI))
 _B_HI = 1.0 + float(np.exp(U_HI))
 _LOG_B_HI = float(np.log(_B_HI))
-ROOT_PASSES = 16  # Newton passes per solve; BS_A2's states need at most 4 or 5
+ROOT_PASSES = 16  # Newton passes per solve; BS_A2's states at K = 30 need at most 4
 ROOT_UTOL = 1e-12  # a path is done when its step is below ROOT_UTOL * (1 + |u|)
 
 
@@ -170,38 +170,90 @@ def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     (Numerical Recipes, 3rd ed., 9.4 rtsafe). A step goes to the bracket
     midpoint only when it lands strictly outside (lo, hi): a converged path
     sits on its own bracket end, and a closed test would bisect it back out.
-    Converged paths leave the working arrays. Every root is clamped at
-    BETA_BRACKET_LO, the value of the roots pinned below U_LO, so beta does
-    not fall as c rises across the pin; v <= 0 and roots beyond the beta
-    bracket return nan for the caller to zero out.
+    Converged paths leave the working arrays on the pass they converge.
+    Every root is clamped at BETA_BRACKET_LO, the value of the roots pinned
+    below U_LO, so beta does not fall as c rises across the pin; v <= 0 and
+    roots beyond the beta bracket return nan for the caller to zero out.
+
+    Each pass writes into work vectors allocated once per call (two threads
+    solving at once share none), so a path's arithmetic is the same
+    operations in the same order whatever else is live.
     """
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
+    shape = v.shape
     pinned, unreachable = _root_bracket(v, c)
     ok = v > 0.0
-    beta = np.where(pinned & ok, BETA_BRACKET_LO, np.nan)
-    idx = np.flatnonzero(ok & ~pinned & ~unreachable)
-    v, c = v.ravel()[idx], c.ravel()[idx]
+    solvable = ok & ~pinned & ~unreachable
+    every = bool(solvable.all())
+    if every:
+        v, c = v.ravel(), c.ravel()
+    else:
+        idx = np.flatnonzero(solvable)
+        v, c = v.ravel()[idx], c.ravel()[idx]
+    n = v.size
     u = _cold_start(v, c)
-    lo = np.full(u.shape, U_LO)
-    hi = np.full(u.shape, U_HI)
-    root = np.empty(u.shape)
-    live = np.arange(u.size)
-    for _ in range(ROOT_PASSES):
-        e = np.exp(u)
-        b = 1.0 + e
-        g = v * b + u - np.log(b) - c
-        below = g < 0.0
-        lo = np.where(below, u, lo)
-        hi = np.where(below, hi, u)
-        u_new = u - g / (v * e + 1.0 / b)
-        u_new = np.where((u_new < lo) | (u_new > hi), 0.5 * (lo + hi), u_new)
-        done = np.abs(u_new - u) <= ROOT_UTOL * (1.0 + np.abs(u))
-        root[live] = u_new
-        if done.all():
+    lo = np.full(n, U_LO)
+    hi = np.full(n, U_HI)
+    u_next, e, b, g, t = (np.empty(n) for _ in range(5))
+    below, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    live = None  # indices of the live paths; None while every path is live
+    root = None
+    for _ in range(ROOT_PASSES if n else 0):
+        m = u.size
+        un, e, b, g, t, below, flag = (a[:m] for a in (u_next, e, b, g, t, below, flag))
+        # g = v b + u - log b - c with b = 1 + e^u
+        np.exp(u, out=e)
+        np.add(e, 1.0, out=b)
+        np.multiply(v, b, out=g)
+        g += u
+        np.log(b, out=t)
+        g -= t
+        g -= c
+        np.less(g, 0.0, out=below)
+        np.copyto(lo, u, where=below)
+        np.logical_not(below, out=flag)
+        np.copyto(hi, u, where=flag)
+        # the Newton step u - g / (v e + 1 / b), bisected where it leaves (lo, hi)
+        e *= v
+        np.divide(1.0, b, out=b)
+        e += b
+        g /= e
+        np.subtract(u, g, out=un)
+        np.less(un, lo, out=flag)
+        np.greater(un, hi, out=below)
+        flag |= below
+        if flag.any():
+            np.add(lo, hi, out=t)
+            t *= 0.5
+            np.copyto(un, t, where=flag)
+        # done where |u_new - u| <= ROOT_UTOL (1 + |u|)
+        np.subtract(un, u, out=t)
+        np.abs(t, out=t)
+        np.abs(u, out=g)
+        g += 1.0
+        g *= ROOT_UTOL
+        np.less_equal(t, g, out=flag)
+        u_next, u = u, un
+        n_done = int(np.count_nonzero(flag))
+        if n_done == m:
             break
-        keep = ~done
-        live, u, v, c, lo, hi = live[keep], u_new[keep], v[keep], c[keep], lo[keep], hi[keep]
-    beta.flat[idx] = np.maximum(1.0 + np.exp(root), BETA_BRACKET_LO)
+        if n_done:
+            if live is None:
+                live, root = np.arange(n), np.empty(n)
+            root[live[flag]] = u[flag]
+            np.logical_not(flag, out=below)
+            live, u, v, c, lo, hi = (a[below] for a in (live, u, v, c, lo, hi))
+    if live is None:
+        root = u
+    else:
+        root[live] = u
+    np.exp(root, out=root)
+    root += 1.0
+    np.maximum(root, BETA_BRACKET_LO, out=root)
+    if every:
+        return root.reshape(shape)
+    beta = np.where(pinned & ok, BETA_BRACKET_LO, np.nan)
+    beta.flat[idx] = root
     return beta
 
 
@@ -220,12 +272,17 @@ def bs_fully_adaptive_step(
     a2 = ctx["alpha2_rem"][i]  # sum_{j>=i} alpha_j^2 dt
     a1 = ctx["alpha1_rem"][i]  # sum_{j>=i} alpha_j dt
     alpha_i = ctx["alpha"][i]
-    v_quad = v_i * a2
-    c = ctx["c_base"] - y_acc + 0.5 * v_i * a1
-    beta = _vector_bs_root(v_quad, c)
-    sq = np.sqrt(v_i)
-    amp = np.where(np.isnan(beta), 0.0, beta) * alpha_i * sq
-    return ctx["rho"] * amp, ctx["rho_bar"] * amp
+    # c = c_base - y_acc + 0.5 v_i a1
+    c = np.subtract(ctx["c_base"], y_acc)
+    half = np.multiply(v_i, 0.5)
+    half *= a1
+    c += half
+    beta = _vector_bs_root(np.multiply(v_i, a2), c)
+    # amp = beta alpha_i sqrt(v_i), 0 where beta is nan
+    np.copyto(beta, 0.0, where=np.isnan(beta))
+    beta *= alpha_i
+    beta *= np.sqrt(v_i, out=half)
+    return np.multiply(beta, ctx["rho"]), np.multiply(beta, ctx["rho_bar"], out=c)
 
 
 def bs_fully_adaptive(

@@ -313,36 +313,36 @@ def integrate_psi_controlled(
     kap = params.kappa if mode is LdpMode.SMALL_NOISE else 0.0
     th, xi = params.theta, params.xi
     h = grid.dt
+    hh, h6 = 0.5 * h, h / 6.0
     xd = [float(v) for v in xdot1]
     n = grid.n_steps
     psi = np.empty(n + 1)
     psi[0] = y = params.v0
     floor = PSI_FLOOR
+    sqrt, isfinite = math.sqrt, math.isfinite
 
-    def rhs(v, u):
-        return kap * (th - v) + xi * math.sqrt(v) * u
-
+    # each stage is rhs(v, u) = kap (th - v) + xi sqrt(v) u, written out
     for i in range(n):
         uL = xd[i]
         uR = xd[i + 1]
         um = 0.5 * (uL + uR)
         if y <= floor:
             return None
-        k1 = rhs(y, uL)
-        y2 = y + 0.5 * h * k1
+        k1 = kap * (th - y) + xi * sqrt(y) * uL
+        y2 = y + hh * k1
         if y2 <= floor:
             return None
-        k2 = rhs(y2, um)
-        y3 = y + 0.5 * h * k2
+        k2 = kap * (th - y2) + xi * sqrt(y2) * um
+        y3 = y + hh * k2
         if y3 <= floor:
             return None
-        k3 = rhs(y3, um)
+        k3 = kap * (th - y3) + xi * sqrt(y3) * um
         y4 = y + h * k3
         if y4 <= floor:
             return None
-        k4 = rhs(y4, uR)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if y <= floor or not math.isfinite(y):
+        k4 = kap * (th - y4) + xi * sqrt(y4) * uR
+        y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if y <= floor or not isfinite(y):
             return None
         psi[i + 1] = y
     return psi

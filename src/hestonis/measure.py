@@ -85,16 +85,24 @@ def _channel_sums(batch: "PathBatch", drift: DriftSchedule) -> tuple:
     scalar; an adaptive one reads the recorded variance. The products run in
     numpy's own loop over column-major blocks, which adds the steps in order
     for any layout of the increments and any number of threads: a BLAS
-    product splits the rows by thread count, and its bits move with it.
+    product splits the rows by thread count, and its bits move with it. A
+    batch without dW^perp (constant volatility) takes only schedules with
+    h2 = 0.
     """
     drift.check_grid(batch.grid)
     n, dt = batch.grid.n_steps, batch.grid.dt
     h1, h2 = drift.h1_dot[:n], drift.h2_dot[:n]
+    if batch.dw_perp is None and np.any(h2):
+        raise DomainError("a batch without dW^perp increments takes no drift on dW^perp")
     if drift.mode is DriftMode.DETERMINISTIC:
-        dw, dwp = np.asfortranarray(batch.dw), np.asfortranarray(batch.dw_perp)
-        lin = np.einsum("ij,j->i", dw, h1) + np.einsum("ij,j->i", dwp, h2)
+        lin = np.einsum("ij,j->i", np.asfortranarray(batch.dw), h1)
+        if batch.dw_perp is not None:
+            lin += np.einsum("ij,j->i", np.asfortranarray(batch.dw_perp), h2)
         return lin, float(((h1 * h1 + h2 * h2) * dt).sum())
     if drift.mode is DriftMode.ADAPTIVE:
+        if batch.v is None:
+            raise DomainError("a frozen-variance batch records no variance "
+                              "for an adaptive schedule to read")
         sqv = np.sqrt(batch.v[:, :n])
         m1, m2 = h1 * sqv, h2 * sqv
         lin = (m1 * batch.dw).sum(axis=1) + (m2 * batch.dw_perp).sum(axis=1)

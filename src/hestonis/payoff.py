@@ -130,10 +130,11 @@ class PathSum:
     def reads_spot(self) -> bool:
         return self.kind != "weighted"
 
-    def term(self, i, dx, v, s):
-        """Step i's addend from dX_i, V_i and S_i (None where not read)."""
+    def term(self, i, dx, v, s, out=None):
+        """Step i's addend from dX_i, V_i and S_i (None where not read); a
+        weighted sum's is written into ``out`` when given."""
         if self.kind == "weighted":
-            return self.alpha[i] * dx
+            return np.multiply(self.alpha[i], dx, out=out)
         if self.kind == "spot":
             return s
         return v * (s >= self.strike)

@@ -17,7 +17,8 @@ Q-increments so weights can be recomputed after the fact.
 
 Given a constant volatility sigma the same kernel runs with the variance
 frozen at sigma^2 on the one channel dW (loading (1, 0)): no variance
-recursion runs, X_{i+1} = X_i - sigma^2/2 dt + sigma dW_i.
+recursion runs, X_{i+1} = X_i - sigma^2/2 dt + sigma dW_i. Such a run may
+step on dW alone (dw_perp None), which a draw with ``perp=False`` gives.
 
 Normals come from the counter-based Philox generator through the inverse CDF,
 so parallel chunks with distinct stream offsets are reproducible bit for bit.
@@ -68,7 +69,8 @@ class PathBatch:
     A recorded batch (no payoff specs given) holds x, v, v_raw of shape
     (n_paths, n_steps + 1), with v, v_raw None under a frozen (constant)
     variance, and dw, dw_perp of shape (n_paths, n_steps): the increments of
-    the simulating measure, path by path. A streamed batch holds no path: x,
+    the simulating measure, path by path (dw_perp None when a constant-vol
+    run stepped on dw alone). A streamed batch holds no path: x,
     v and v_raw are None, ``sums`` maps each spec to its one-pass sum per
     path (``payoff.PathSum``), and dw, dw_perp are the blocks the kernel
     stepped on (for antithetic pairs, the n_paths / 2 rows it mirrors).
@@ -79,7 +81,7 @@ class PathBatch:
     v: np.ndarray | None
     v_raw: np.ndarray | None
     dw: np.ndarray
-    dw_perp: np.ndarray
+    dw_perp: np.ndarray | None
     grid: TimeGrid
     log_inv_weight: np.ndarray | None = None
     sums: dict[payoff.PayoffSpec, np.ndarray] | None = None
@@ -90,8 +92,8 @@ DRAW_ROWS = 256
 
 
 def normal_increments(
-    rng: RngSpec, n_paths: int, n_steps: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
+    rng: RngSpec, n_paths: int, n_steps: int, dt: float, perp: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Two column-major (n_paths, n_steps) blocks of N(0, dt) increments via
     inverse CDF.
 
@@ -100,14 +102,18 @@ def normal_increments(
     to 2 n_steps (i + 1) of the stream, dw the first half and dw_perp the
     second. Drawing ``DRAW_ROWS`` rows at a time consumes the same stream as
     one draw of every row, and its row-major buffer stays small next to the
-    blocks it fills.
+    blocks it fills. Without ``perp`` the same uniforms are drawn but only
+    dw's half is transformed, and dw_perp is None: a constant-volatility
+    model reads dw alone.
     """
     gen = rng.generator()
     dw = np.empty((n_paths, n_steps), order="F")
-    dwp = np.empty((n_paths, n_steps), order="F")
+    dwp = np.empty((n_paths, n_steps), order="F") if perp else None
     sdt = np.sqrt(dt)
     for r in range(0, n_paths, DRAW_ROWS):
         z = gen.random((min(DRAW_ROWS, n_paths - r), 2 * n_steps))
+        if not perp:
+            z = z[:, :n_steps]
         # ndtri needs uniforms strictly inside (0, 1): the shift lifts 0, and
         # the clamp pulls back the draw 1 - 2**-53, which the shift rounds to 1
         z += 2.0**-54
@@ -115,7 +121,8 @@ def normal_increments(
         ndtri(z, out=z)
         z *= sdt
         dw[r:r + z.shape[0]] = z[:, :n_steps]
-        dwp[r:r + z.shape[0]] = z[:, n_steps:]
+        if perp:
+            dwp[r:r + z.shape[0]] = z[:, n_steps:]
     return dw, dwp
 
 
@@ -123,7 +130,7 @@ def _evolve(
     params: HestonParams,
     grid: TimeGrid,
     dw: np.ndarray,
-    dw_perp: np.ndarray,
+    dw_perp: np.ndarray | None,
     drift: DriftSchedule | None,
     sigma: float | None = None,
     specs: list[payoff.PayoffSpec] | None = None,
@@ -137,8 +144,9 @@ def _evolve(
     ``specs``, the payoffs to stream. Without ``specs`` the sweep records
     every path instead. A deterministic drift's log-weight is computed after
     the sweep (``log_inverse_weight``). A constant ``sigma`` freezes the
-    variance at sigma^2 on the channel dW alone. ``mirror`` steps 2m paths on
-    m rows of increments: path 2k on row k and path 2k+1 on its negation.
+    variance at sigma^2 on the channel dW alone; ``dw_perp`` may then be
+    None where the drift puts nothing on dW^perp. ``mirror`` steps 2m paths
+    on m rows of increments: path 2k on row k and path 2k+1 on its negation.
     """
     rows, n = dw.shape
     n_paths = 2 * rows if mirror else rows
@@ -149,18 +157,22 @@ def _evolve(
     heston = sigma is None
     mode = drift.mode if drift is not None else None
     per_step = mode is DriftMode.PER_STEP_ADAPTIVE
+    perp = dw_perp is not None
+    if not perp and (heston or per_step or (drift is not None and np.any(drift.h2_dot))):
+        raise DomainError("only a constant-volatility run with no drift on dW^perp "
+                          "may omit the dW^perp increments")
 
     # per-path state, and work vectors that the scheme's arithmetic reuses
     # at every step, so that it allocates nothing and stays in cache
     x = np.zeros(n_paths)
-    dx, a, b, dwi, dwpi, s = (np.empty(n_paths) for _ in range(6))
+    dx, a, b, dwi, dwpi, s, w = (np.empty(n_paths) for _ in range(7))
     if heston:
         v_raw = np.full(n_paths, params.v0)
         vplus, sq = v_raw.copy(), np.empty(n_paths)
     else:
         vplus, sq = sigma * sigma, sigma
     if mirror:
-        dq, dqp = np.empty(n_paths), np.empty(n_paths)
+        dq, dqp = np.empty(n_paths), np.empty(n_paths) if perp else None
     if mode is DriftMode.ADAPTIVE:
         m1, m2 = np.empty(n_paths), np.empty(n_paths)
     logw = np.zeros(n_paths) if mode in (DriftMode.ADAPTIVE, DriftMode.PER_STEP_ADAPTIVE) else None
@@ -172,6 +184,7 @@ def _evolve(
         spec_keys[spec] = ps.key
         sums.setdefault(ps.key, (ps, np.zeros(n_paths)))
     spot = any(ps.reads_spot for ps, _ in sums.values())
+    track_x = record or spot  # weighted sums read dX alone
 
     if record:
         xs = np.zeros((n_paths, n + 1), order="F")
@@ -182,54 +195,61 @@ def _evolve(
             vs[:, 0] = vrs[:, 0] = params.v0
         if mirror:
             dw_rec = np.empty((n_paths, n), order="F")
-            dwp_rec = np.empty((n_paths, n), order="F")
+            dwp_rec = np.empty((n_paths, n), order="F") if perp else None
 
     for i in range(n):
         if heston:
             np.sqrt(vplus, out=sq)
         if mirror:
-            dq[0::2], dqp[0::2] = dw[:, i], dw_perp[:, i]
+            dq[0::2] = dw[:, i]
             np.negative(dw[:, i], out=dq[1::2])
-            np.negative(dw_perp[:, i], out=dqp[1::2])
+            if perp:
+                dqp[0::2] = dw_perp[:, i]
+                np.negative(dw_perp[:, i], out=dqp[1::2])
             if record:
-                dw_rec[:, i], dwp_rec[:, i] = dq, dqp
+                dw_rec[:, i] = dq
+                if perp:
+                    dwp_rec[:, i] = dqp
         else:
-            dq, dqp = dw[:, i], dw_perp[:, i]
+            dq, dqp = dw[:, i], dw_perp[:, i] if perp else None
         if mode is None:
             dwi, dwpi = dq, dqp
+        elif mode is DriftMode.DETERMINISTIC:
+            # the shifted increments dW + m dt; dW^perp is read under Heston alone
+            np.add(dq, drift.h1_dot[i] * dt, out=dwi)
+            if heston:
+                np.add(dqp, drift.h2_dot[i] * dt, out=dwpi)
         else:
             if per_step:
                 m1, m2 = drift.step_fn(i, y_acc, vplus)
-            elif mode is DriftMode.ADAPTIVE:
+            else:
                 np.multiply(sq, drift.h1_dot[i], out=m1)
                 np.multiply(sq, drift.h2_dot[i], out=m2)
-            else:
-                m1, m2 = drift.h1_dot[i], drift.h2_dot[i]
             # the shifted increments dW + m dt, and the weight's
             # m1 dW + m2 dW^perp + (m1^2 + m2^2) dt / 2 in the Q-increments
             np.multiply(m1, dt, out=dwi)
             dwi += dq
-            np.multiply(m2, dt, out=dwpi)
-            dwpi += dqp
-            if logw is not None:
-                np.multiply(m1, dq, out=a)
+            if heston:
+                np.multiply(m2, dt, out=dwpi)
+                dwpi += dqp
+            np.multiply(m1, dq, out=a)
+            if perp:
                 np.multiply(m2, dqp, out=b)
                 a += b
-                m1 *= m1
-                m2 *= m2
-                m1 += m2
-                m1 *= 0.5
-                m1 *= dt
-                a += m1
-                logw -= a
+            m1 *= m1
+            m2 *= m2
+            m1 += m2
+            m1 *= 0.5
+            m1 *= dt
+            a += m1
+            logw -= a
         # dX = -V dt / 2 + sqrt(V) (rho dW + rho_bar dW^perp), or sigma dW frozen
         if heston:
             np.multiply(dwi, rho, out=a)
             np.multiply(dwpi, rho_bar, out=b)
             a += b
             a *= sq
-            np.multiply(vplus, -0.5, out=dx)
-            dx *= dt
+            np.multiply(vplus, -0.5 * dt, out=dx)
             dx += a
         else:
             np.multiply(dwi, sq, out=dx)
@@ -239,10 +259,12 @@ def _evolve(
             np.exp(s, out=s)
             s *= params.s0
         for ps, total in sums.values():
-            total += ps.term(i, dx, vplus, s)
+            total += ps.term(i, dx, vplus, s, out=w)
         if per_step:
-            y_acc += drift.alpha_knots[i] * dx
-        x += dx
+            np.multiply(drift.alpha_knots[i], dx, out=w)
+            y_acc += w
+        if track_x:
+            x += dx
         if heston:  # Vt += kappa (theta - V) dt + xi sqrt(V) dW; V = Vt^+
             np.subtract(th, vplus, out=a)
             a *= k
@@ -270,15 +292,16 @@ def _evolve(
 
 def _take_increments(
     rng: RngSpec, n_rows: int, grid: TimeGrid, increments
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-drawn (dw, dw_perp) blocks of ``n_rows`` rows, or a fresh draw from ``rng``."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pre-drawn (dw, dw_perp) blocks of ``n_rows`` rows, or a fresh draw from
+    ``rng``; a pre-drawn dw_perp may be None (``normal_increments``)."""
     if increments is None:
         return normal_increments(rng, n_rows, grid.n_steps, grid.dt)
     dw, dwp = increments
-    if dw.shape != (n_rows, grid.n_steps) or dwp.shape != dw.shape:
+    if dw.shape != (n_rows, grid.n_steps) or (dwp is not None and dwp.shape != dw.shape):
         raise DomainError(
-            f"increments of shape {dw.shape}/{dwp.shape} do not match "
-            f"({n_rows}, {grid.n_steps})"
+            f"increments of shape {dw.shape}/{None if dwp is None else dwp.shape} "
+            f"do not match ({n_rows}, {grid.n_steps})"
         )
     return dw, dwp
 
@@ -288,7 +311,7 @@ def simulate_p(
     grid: TimeGrid,
     n_paths: int,
     rng: RngSpec,
-    increments: tuple[np.ndarray, np.ndarray] | None = None,
+    increments: tuple[np.ndarray, np.ndarray | None] | None = None,
     sigma: float | None = None,
     specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:
@@ -308,7 +331,7 @@ def simulate_q(
     n_paths: int,
     rng: RngSpec,
     drift: DriftSchedule,
-    increments: tuple[np.ndarray, np.ndarray] | None = None,
+    increments: tuple[np.ndarray, np.ndarray | None] | None = None,
     sigma: float | None = None,
     specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:
@@ -323,7 +346,7 @@ def antithetic_pairs(
     grid: TimeGrid,
     n_paths: int,
     rng: RngSpec,
-    increments: tuple[np.ndarray, np.ndarray] | None = None,
+    increments: tuple[np.ndarray, np.ndarray | None] | None = None,
     sigma: float | None = None,
     specs: list[payoff.PayoffSpec] | None = None,
 ) -> PathBatch:

@@ -7,6 +7,7 @@ from hestonis import drift_bs, varopt
 from hestonis.drift_bs import (
     BETA_BRACKET_HI,
     BETA_BRACKET_LO,
+    _cold_start,
     _root_bracket,
     bs_beta,
     bs_drift,
@@ -20,6 +21,7 @@ from hestonis.drift_bs import (
 from hestonis.errors import OptimError
 from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, make_payoff
+from hestonis.sim import RngSpec, simulate_q
 
 
 def test_root_equation_unit_case():
@@ -270,3 +272,100 @@ def test_bs_scale_needs_positive_moments():
     for s1, s2 in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
         with pytest.raises(OptimError, match="positive moments"):
             bs_scale(s1, s2, 0.1)
+
+
+def _compacting_reference(v, c):
+    """The root as one path of ``_vector_bs_root`` computed it before its
+    work vectors were reused: fresh arrays on every pass, the live set
+    compacted on every pass. Same operations in the same order per path."""
+    v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
+    pinned, unreachable = _root_bracket(v, c)
+    ok = v > 0.0
+    beta = np.where(pinned & ok, BETA_BRACKET_LO, np.nan)
+    idx = np.flatnonzero(ok & ~pinned & ~unreachable)
+    v, c = v.ravel()[idx], c.ravel()[idx]
+    u = _cold_start(v, c)
+    lo = np.full(u.shape, drift_bs.U_LO)
+    hi = np.full(u.shape, drift_bs.U_HI)
+    root = np.empty(u.shape)
+    live = np.arange(u.size)
+    for _ in range(drift_bs.ROOT_PASSES):
+        e = np.exp(u)
+        b = 1.0 + e
+        g = v * b + u - np.log(b) - c
+        below = g < 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        u_new = u - g / (v * e + 1.0 / b)
+        u_new = np.where((u_new < lo) | (u_new > hi), 0.5 * (lo + hi), u_new)
+        done = np.abs(u_new - u) <= drift_bs.ROOT_UTOL * (1.0 + np.abs(u))
+        root[live] = u_new
+        if done.all():
+            break
+        keep = ~done
+        live, u, v, c, lo, hi = live[keep], u_new[keep], v[keep], c[keep], lo[keep], hi[keep]
+    beta.flat[idx] = np.maximum(1.0 + np.exp(root), BETA_BRACKET_LO)
+    return beta
+
+
+def _root_regimes(n=2_000, seed=20):
+    """(v, c) pairs across every branch of the root: pinned, unreachable,
+    v <= 0, beta near 1, beta near the top of the bracket, BS_A2-like states."""
+    rng = np.random.default_rng(seed)
+    v = 10.0 ** rng.uniform(-7.0, 1.0, n)
+    top = 1.0 + BETA_BRACKET_HI
+    pick = rng.integers(0, 6, n)
+    beta_hi = rng.uniform(1e5, top, n)
+    c = np.select(
+        [pick == 0, pick == 1, pick == 2, pick == 3, pick == 4],
+        [v - 745.0 - rng.uniform(0.0, 5.0, n),  # pinned
+         v * top + np.log1p(-1.0 / top) + rng.uniform(0.0, 5.0, n),  # unreachable
+         rng.uniform(-5.0, 5.0, n),  # v <= 0 below
+         v - 745.0 + rng.uniform(1.0, 720.0, n),  # beta near 1
+         v * beta_hi + np.log1p(-1.0 / beta_hi)],  # beta near 1e6
+        rng.uniform(-0.6, 0.2, n),  # BS_A2's states
+    )
+    v = np.where(pick == 2, -rng.uniform(0.0, 1.0, n), v)
+    return v, c
+
+
+def _recorded_root_calls(params, n_paths=2_000):
+    """Every (v, c) BS_A2 hands the root on one 64-step K = 30 chunk."""
+    grid = TimeGrid(64, 1.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 30.0, 1.0)
+    calls = []
+    solve = drift_bs._vector_bs_root
+
+    def recording(v, c):
+        calls.append((np.copy(v), np.copy(c)))
+        return solve(v, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drift_bs, "_vector_bs_root", recording)
+        simulate_q(params, grid, n_paths, RngSpec(30), bs_fully_adaptive(spec, params, grid),
+                   specs=[spec])
+    assert len(calls) == grid.n_steps
+    return calls
+
+
+@pytest.mark.parametrize("passes", [None, 1, 2, 3])
+def test_root_is_the_compacting_reference_bit_for_bit(params, monkeypatch, passes):
+    # ROOT_PASSES cut short leaves some paths live when the passes run out
+    if passes is not None:
+        monkeypatch.setattr(drift_bs, "ROOT_PASSES", passes)
+    cases = [_root_regimes(), (np.array([0.02]), np.array([-0.3])), (0.02, -0.3)]
+    cases += _recorded_root_calls(params)
+    for v, c in cases:
+        got, want = _vector_bs_root(v, c), _compacting_reference(v, c)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_root_regimes_reach_every_branch():
+    v, c = _root_regimes()
+    pinned, unreachable = _root_bracket(v, c)
+    beta = _vector_bs_root(v, c)
+    ok = v > 0.0
+    assert np.any(pinned & ok) and np.any(unreachable & ok) and np.any(~ok)
+    assert np.any((beta > 1.0) & (beta < 1.0 + 1e-9))
+    assert np.any(beta > 0.9 * BETA_BRACKET_HI)

@@ -130,3 +130,23 @@ def test_importance_sampling_price_matches_classic(params, grid):
         classic.std(ddof=1) / np.sqrt(n), product.std(ddof=1) / np.sqrt(n)
     )
     assert abs(classic.mean() - product.mean()) <= 4.0 * se
+
+
+def test_adaptive_weight_of_a_frozen_variance_batch_is_a_domain_error(params, grid):
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 55.0, 1.0)
+    drift = _bs_drift(spec, params, grid, DriftMode.ADAPTIVE)
+    batch = simulate_p(params, grid, 20, RngSpec(10), sigma=0.25)
+    assert batch.v is None
+    for weight in (log_inverse_weight, log_forward_weight):
+        with pytest.raises(DomainError, match="records no variance"):
+            weight(batch, drift)
+
+
+def test_a_batch_without_dw_perp_takes_no_drift_on_it(params, grid):
+    batch = simulate_p(params, grid, 20, RngSpec(10), sigma=0.25)
+    h = np.full(grid.n_steps + 1, 0.3)
+    one = dataclasses.replace(batch, dw_perp=None)
+    on_dw = DriftSchedule(DriftMode.DETERMINISTIC, h, np.zeros_like(h))
+    assert np.array_equal(log_inverse_weight(one, on_dw), log_inverse_weight(batch, on_dw))
+    with pytest.raises(DomainError, match="dW\\^perp"):
+        log_inverse_weight(one, DriftSchedule(DriftMode.DETERMINISTIC, h, h))

@@ -369,3 +369,40 @@ def test_a_streamed_chunk_stores_no_path(params, mirror, drift_index):
     finally:
         tracemalloc.stop()
     assert peak < path_matrix
+
+
+@pytest.mark.parametrize("n", [300, 2 * DRAW_ROWS + 7])
+def test_constant_vol_runs_on_dw_alone(params, n):
+    # the dW half of the stream's draw, bit for bit, with no dW^perp; every
+    # constant-vol measure whose drift leaves dW^perp alone steps on it to the
+    # same sums and weights
+    grid, rng, sigma = TimeGrid(16, 1.0), RngSpec(8, 2), 0.25
+    dw, dwp = normal_increments(rng, n, grid.n_steps, grid.dt)
+    dw_only, none = normal_increments(rng, n, grid.n_steps, grid.dt, perp=False)
+    assert none is None and dw_only.flags.f_contiguous
+    assert np.array_equal(dw_only, dw)
+    h = np.linspace(0.8, -0.3, grid.n_steps + 1)
+    specs = [make_payoff(PayoffKind.ARITHMETIC_ASIAN_CALL, 50.0, grid.t_end),
+             make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 50.0, grid.t_end)]
+    for drift, mirror in [(None, False), (None, True),
+                          (DriftSchedule(DriftMode.DETERMINISTIC, h, 0.0 * h), False),
+                          (DriftSchedule(DriftMode.ADAPTIVE, h, 0.0 * h), False)]:
+        rows = n // 2 if mirror else n
+        both = _run(params, grid, rng, (dw[:rows], dwp[:rows]), drift, mirror, sigma, specs)
+        one = _run(params, grid, rng, (dw[:rows], None), drift, mirror, sigma, specs)
+        assert one.dw_perp is None
+        for spec in specs:
+            assert np.array_equal(one.sums[spec], both.sums[spec])
+        if drift is not None:
+            assert np.array_equal(one.log_inv_weight, both.log_inv_weight)
+
+
+def test_dw_perp_is_needed_under_heston_or_a_drift_on_it(params):
+    grid, rng, n = TimeGrid(16, 1.0), RngSpec(8, 2), 10
+    dw, _ = normal_increments(rng, n, grid.n_steps, grid.dt, perp=False)
+    h = np.full(grid.n_steps + 1, 0.2)
+    with pytest.raises(DomainError, match="dW\\^perp"):
+        simulate_p(params, grid, n, rng, (dw, None))
+    with pytest.raises(DomainError, match="dW\\^perp"):
+        simulate_q(params, grid, n, rng, DriftSchedule(DriftMode.DETERMINISTIC, h, h),
+                   (dw, None), sigma=0.25)
