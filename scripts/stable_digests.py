@@ -11,11 +11,20 @@ Runs, in-process and in this order:
   LDP kinds on the European weight at the same strikes) and of the
   variance-payoff drifts at K = 10, each on 16 and 252 steps.
 
-Prints one ``sha256  label`` line per output; a label ends with the run's
-exit code, and a run that wrote to stderr adds a line for that text. Run it
-at two commits and ``diff`` the outputs:
+Prints a header of ``# numpy``, ``# scipy`` and ``# cpu`` lines, then one
+``sha256  label`` line per output; a label ends with the run's exit code, and
+a run that wrote to stderr adds a line for that text. The committed ledger
+``scripts/digests.txt`` is this output:
 
-    python3 scripts/stable_digests.py > digests.txt
+    python3 scripts/stable_digests.py > scripts/digests.txt
+
+``--check FILE`` reruns every run and compares it with the ledger ``FILE``.
+It exits 0 when every label's lines match, and 1 after naming each label
+that moved. When the ledger's numpy or scipy version differs from the
+installed one it exits 2 with a versions message instead, since digests are
+only comparable on the same versions:
+
+    python3 scripts/stable_digests.py --check scripts/digests.txt
 
 ``--keep DIR`` also saves each run's output as ``DIR/<label>.csv``. Where two
 commits' digests differ, ``--max-rel DIR_A DIR_B`` reads two such directories
@@ -34,6 +43,7 @@ import csv
 import hashlib
 import io
 import math
+import platform
 import re
 import sys
 import tempfile
@@ -42,6 +52,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 
 from hestonis.cli import main  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -87,15 +100,60 @@ def file_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9.=-]+", "_", label) + ".csv"
 
 
-def main_digests(keep: Path | None = None) -> None:
-    # Python warnings name source lines, which move with any edit; the
-    # digests cover only what the CLI itself writes.
-    warnings.simplefilter("ignore")
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((ln.split(":", 1)[1].strip() for ln in fh
+                         if ln.startswith("model name")), platform.processor())
+    except OSError:
+        return platform.processor()
+
+
+def installed_versions() -> dict[str, str]:
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def header() -> list[str]:
+    """The ledger's header: the library versions and the CPU model."""
+    fields = {**installed_versions(), "cpu": cpu_model()}
+    return [f"# {key} {value}" for key, value in fields.items()]
+
+
+def read_ledger(path: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """(header fields, digest lines by run label) of a ledger file."""
+    head, lines = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" ")
+            head[key] = value
+        elif line:
+            # "<sha256>  <label> exit=<code>" or "<sha256>  <label> stderr"
+            label = line.split("  ", 1)[1].rsplit(" ", 1)[0]
+            lines.setdefault(label, []).append(line)
+    return head, lines
+
+
+def versions_message(head: dict[str, str]) -> str | None:
+    """Why a ledger with header ``head`` cannot be checked here, or None."""
+    installed = installed_versions()
+    if all(head.get(key) == value for key, value in installed.items()):
+        return None
+    made = ", ".join(f"{key} {head.get(key, '?')}" for key in installed)
+    have = ", ".join(f"{key} {value}" for key, value in installed.items())
+    return (f"versions differ: the ledger was made with {made}, this box has {have}; "
+            "remake the ledger here before comparing digests")
+
+
+def digests(selected, keep: Path | None = None):
+    """(label, digest lines) of each run of ``selected``, in order."""
     if keep is not None:
         keep.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
+    # Python warnings name source lines, which move with any edit; the
+    # digests cover only what the CLI itself writes.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         out = Path(tmp) / "out.csv"
-        for label, argv in runs():
+        for label, argv in selected:
             out.unlink(missing_ok=True)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -103,9 +161,35 @@ def main_digests(keep: Path | None = None) -> None:
             written = out.read_bytes() if out.is_file() else b""
             if keep is not None:
                 (keep / file_name(label)).write_bytes(written)
-            print(f"{sha256(written)}  {label} exit={code}", flush=True)
+            lines = [f"{sha256(written)}  {label} exit={code}"]
             if err.getvalue():
-                print(f"{sha256(err.getvalue().encode())}  {label} stderr", flush=True)
+                lines.append(f"{sha256(err.getvalue().encode())}  {label} stderr")
+            yield label, lines
+
+
+def main_digests(keep: Path | None = None) -> None:
+    print("\n".join(header()), flush=True)
+    for _, lines in digests(runs(), keep):
+        print("\n".join(lines), flush=True)
+
+
+def check(ledger: Path) -> int:
+    """Rerun every run against ``ledger``: 0 when all match, 1 after naming
+    each moved label, 2 when the ledger's versions are not the installed ones."""
+    head, want = read_ledger(ledger)
+    message = versions_message(head)
+    if message:
+        print(message, file=sys.stderr)
+        return 2
+    if head.get("cpu") != cpu_model():
+        print(f"note: the ledger was made on {head.get('cpu')!r}, this is {cpu_model()!r}",
+              file=sys.stderr)
+    moved = [label for label, lines in digests(runs()) if want.pop(label, None) != lines]
+    moved += [f"{label} (in the ledger, not run)" for label in want]
+    for label in moved:
+        print(f"moved: {label}")
+    print(f"{len(moved)} label(s) moved against {ledger}")
+    return 1 if moved else 0
 
 
 def relative_move(a: str, b: str) -> float | None:
@@ -155,8 +239,12 @@ if __name__ == "__main__":
                         help="also save each run's output in DIR")
     parser.add_argument("--max-rel", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
                         help="compare two --keep directories instead of running")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="rerun every run and compare it with the ledger FILE")
     args = parser.parse_args()
     if args.max_rel:
         max_moves(*args.max_rel)
+    elif args.check:
+        sys.exit(check(args.check))
     else:
         main_digests(args.keep)

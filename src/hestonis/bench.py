@@ -294,14 +294,16 @@ class DriftFactory:
 
     def _solve_with_vega_atom(self, make_problem):
         """Solve ``make_problem(extra_atoms)``, seeded at unit weight on the
-        variance-response atom that ``extra_atoms`` appends to channel 1: five
-        starts of 500 evaluations each."""
+        variance-response atom that ``extra_atoms`` appends to channel 1: two
+        starts, +seed and +2 seed, of 500 evaluations each. The payoff rises
+        with the variance, so zero and the negative starts push the wrong way;
+        where +seed or +2 seed wins, the five default starts give the same bits."""
         vega = self._variance_response_atom()
         problem = make_problem([(vega, np.zeros_like(vega))])
         seed = np.zeros(problem.n_coeffs)
         seed[problem.extra_index] = 1.0
         problem.seed_coeffs = seed
-        coeffs, _ = varopt.solve(problem, budget=2500)
+        coeffs, _ = varopt.solve(problem, budget=1000, starts=[seed, 2.0 * seed])
         return problem.expand(coeffs)
 
     def _solve_vs_ldp(self, spec):

@@ -3,7 +3,8 @@
 Problems have the shape sup_x { F(paths induced by x) - penalty(x) } over one
 or two channels of square-integrable derivatives. The search space is a small
 basis per channel (problem-aware atoms plus piecewise-linear hats); Nelder-Mead
-runs from a fixed set of deterministic starts. This is the independent check
+runs from deterministic starts, by default zero and +/- once and twice the
+seed, or the caller's own. This is the independent check
 applied to every closed-form drift pipeline and the fallback optimizer for
 payoffs without a closed form.
 """
@@ -127,15 +128,21 @@ def solve(
     problem: VariationalProblem,
     init: np.ndarray | None = None,
     budget: int = 4000,
+    starts: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Maximize over the basis coefficients; deterministic given (init, budget).
+    """Maximize over the basis coefficients; deterministic given (init, budget, starts).
 
-    Runs Nelder-Mead from five fixed starts (zero, +/- the seed, +/- twice
-    the seed) plus the optional ``init``; returns the best point seen, which
-    is never below the objective at any start. Raises OptimError when every
-    start is inadmissible and no admissible point was found.
+    Runs Nelder-Mead from each of ``starts`` in order (by default zero, +/-
+    the seed and +/- twice the seed), then from the optional ``init``; the
+    ``budget`` of evaluations is split evenly over them. Returns the best
+    point seen, the earlier one on equal values, which is never below the
+    objective at any start. Raises OptimError when every start is
+    inadmissible and no admissible point was found.
     """
-    starts = _default_starts(problem)
+    if starts is None:
+        starts = _default_starts(problem)
+    else:
+        starts = [np.asarray(x0, dtype=float) for x0 in starts]
     if init is not None:
         starts.append(np.asarray(init, dtype=float))
     per_start = max(50, budget // len(starts))

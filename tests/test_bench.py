@@ -20,7 +20,7 @@ from hestonis.bench import (
 )
 from hestonis.drift_bs import bs_beta, bs_drift
 from hestonis.drift_mdp import mdp_small_time_drift
-from hestonis.errors import DomainError
+from hestonis.errors import DomainError, OptimError
 from hestonis.measure import DriftMode, DriftSchedule
 from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, make_payoff
@@ -665,10 +665,11 @@ def test_factory_cache_tells_payoff_kinds_apart(params, kind):
     assert np.array_equal(got.h2_dot, want.h2_dot)
 
 
+@pytest.mark.parametrize("strike", [10.0, 50.0])
 @pytest.mark.parametrize("kind", [EstimatorKind.LDP_SN, EstimatorKind.MDP_SN])
-def test_vega_solve_runs_five_starts(params, kind, monkeypatch):
-    # the seed is the unit vega atom: passing it as ``init`` as well ran the
-    # second start twice, so the five-start solve must return the same bits
+def test_vega_solve_runs_two_positive_starts(params, kind, strike, monkeypatch):
+    # on 16 steps the +seed run wins at K = 10 and the +2 seed run at K = 50;
+    # either way the two-start solve returns the five default starts' bits
     solves, minimizes = [], []
     solve, minimize = bench.varopt.solve, bench.varopt.optimize.minimize
 
@@ -680,12 +681,22 @@ def test_vega_solve_runs_five_starts(params, kind, monkeypatch):
     monkeypatch.setattr(bench.varopt, "solve", recorded)
     monkeypatch.setattr(bench.varopt.optimize, "minimize",
                         lambda *a, **k: minimizes.append(1) or minimize(*a, **k))
-    spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, 10.0, 1.0)
+    spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, strike, 1.0)
     bench.DriftFactory(params, TimeGrid(16, 1.0)).build(kind, spec)
     ((problem, coeffs),) = solves
-    assert len(minimizes) == 5
-    six_start, _ = solve(problem, init=problem.seed_coeffs, budget=3000)
-    assert np.array_equal(coeffs, six_start)
+    assert len(minimizes) == 2
+    five_start, _ = solve(problem, budget=2500)
+    assert np.array_equal(coeffs, five_start)
+
+
+@pytest.mark.parametrize("kind, label", [(EstimatorKind.LDP_SN, "ldp_small_noise"),
+                                         (EstimatorKind.MDP_SN, "mdp_log")])
+def test_vega_solve_above_its_support_raises_naming_the_problem(params, kind, label):
+    # above K = 50 no point the two starts reach is admissible: the build must
+    # fail loudly rather than hand a drift off the support to a CSV row
+    spec = make_payoff(PayoffKind.VOL_INDICATOR_SWAP, 55.0, 1.0)
+    with pytest.raises(OptimError, match=f"no admissible point found for problem '{label}'"):
+        bench.DriftFactory(params, TimeGrid(16, 1.0)).build(kind, spec)
 
 
 #: What perfbench's tracer patches, by hestonis module, with the arguments it

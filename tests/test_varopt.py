@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hestonis import varopt
 from hestonis.errors import DomainError, OptimError
 from hestonis.varopt import (
     NEG_SENTINEL,
@@ -45,6 +46,54 @@ def test_solve_raises_when_everything_inadmissible(coarse_grid):
     problem = VariationalProblem(objective, [basis], coarse_grid)
     with pytest.raises(OptimError):
         solve(problem, budget=200)
+
+
+def test_given_starts_run_in_order_with_init_last(coarse_grid, monkeypatch):
+    problem = _quadratic_problem(coarse_grid)
+    starts = [np.full(problem.n_coeffs, 0.3), np.full(problem.n_coeffs, -0.7)]
+    init = np.arange(problem.n_coeffs, dtype=float)
+    calls = []
+    minimize = varopt.optimize.minimize
+
+    def recorded(fun, x0, **kwargs):
+        calls.append((np.array(x0), kwargs["options"]["maxfev"]))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(varopt.optimize, "minimize", recorded)
+    solve(problem, init=init, budget=600, starts=starts)
+    assert len(calls) == 3
+    for (x0, maxfev), want in zip(calls, [*starts, init]):
+        assert np.array_equal(x0, want)
+        assert maxfev == 200
+
+
+def _double_well_problem(grid):
+    """objective = -(c^2 - 1)^2 on one constant coefficient: equal maxima at c = -1 and +1."""
+
+    def objective(xdot):
+        return -((xdot[0] ** 2 - 1.0) ** 2)
+
+    return VariationalProblem(objective, [np.ones((1, grid.n_steps + 1))], grid)
+
+
+@pytest.mark.parametrize("first", [-1.0, 1.0])
+def test_equal_values_keep_the_earlier_start(coarse_grid, first):
+    problem = _double_well_problem(coarse_grid)
+    coeffs, value = solve(problem, budget=200, starts=[np.array([first]), np.array([-first])])
+    assert value == 0.0
+    assert np.array_equal(coeffs, [first])
+
+
+def test_given_starts_all_inadmissible_raise_naming_the_problem(coarse_grid):
+    # admissible only far from where the starts sit, so no search reaches it
+    def objective(xdot):
+        return 0.0 if xdot[0] < -10.0 else np.nan
+
+    problem = VariationalProblem(objective, [hat_basis(coarse_grid, 4)], coarse_grid,
+                                 label="far_support")
+    starts = [np.ones(4), 2.0 * np.ones(4)]
+    with pytest.raises(OptimError, match="no admissible point found for problem 'far_support'"):
+        solve(problem, budget=200, starts=starts)
 
 
 def test_basis_must_match_grid(coarse_grid):
