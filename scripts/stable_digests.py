@@ -8,8 +8,11 @@ Runs, in-process and in this order:
 - the ``table3``, ``varswap`` and ``appendixC`` presets at ``--paths 26001
   --workers 2``;
 - ``drift`` dumps of the call-payoff kinds at K = 60 and 75 (and of the
-  LDP kinds on the European weight at the same strikes) and of the
-  variance-payoff drifts at K = 10, each on 16 and 252 steps.
+  LDP kinds on the European weight, and of BS under constant volatility,
+  at the same strikes) and of the variance-payoff drifts at K = 10, each on
+  16 and 252 steps;
+- one ``drift`` dump that must be refused: LDPsn under constant volatility,
+  which that table does not offer, on 16 steps.
 
 Prints a header of ``# numpy``, ``# scipy`` and ``# cpu`` lines, then one
 ``sha256  label`` line per output; a label ends with the run's exit code, and
@@ -84,11 +87,13 @@ def runs():
     drifts += [("european_call", kind, strike) for kind in EUROPEAN_DRIFTS
                for strike in (60, 75)]
     drifts += [("vol_indicator_swap", kind, 10) for kind in VARIANCE_DRIFTS]
-    for payoff, kind, strike in drifts:
-        for steps in STEPS:
-            yield (f"drift {payoff} {kind} K={strike} steps={steps}",
-                   ["drift", "--payoff", payoff, "--kind", kind, "--strike", str(strike),
-                    "--steps", str(steps)])
+    drifts += [("arithmetic_asian_call", "BS", strike) for strike in (60, 75)]
+    dumps = [(payoff, kind, strike, steps) for payoff, kind, strike in drifts for steps in STEPS]
+    dumps.append(("arithmetic_asian_call", "LDPsn", 60, 16))  # exits 1
+    for payoff, kind, strike, steps in dumps:
+        yield (f"drift {payoff} {kind} K={strike} steps={steps}",
+               ["drift", "--payoff", payoff, "--kind", kind, "--strike", str(strike),
+                "--steps", str(steps)])
 
 
 def sha256(data: bytes) -> str:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +35,10 @@ from .payoff import PayoffKind, PayoffSpec, geometric_weight, make_payoff
 from . import payoff as payoff_mod
 from . import sim
 from . import varopt
-# Drift entry points are called through this module's names, which perfbench's tracer patches.
+# The solves call these drift entry points by this module's names at call time, because
+# perfbench's tracer patches those names.
 from .drift_bs import bs_beta, bs_drift, bs_fully_adaptive
-from .drift_ldp import LdpMode, ldp_optimum, ldp_paths, ldp_problem, ldp_schedule
+from .drift_ldp import LdpMode, LdpPaths, ldp_optimum, ldp_paths, ldp_problem, ldp_schedule
 from .drift_mdp import (
     mdp_large_time_drift,
     mdp_log_drift,
@@ -82,49 +85,6 @@ class Table(enum.Enum):
     CONSTANT_VOL = "in the constant-vol comparison"  # arithmetic-Asian call
 
 
-class KindEntry(NamedTuple):
-    pipelines: dict[Table, str | None]  # each Table that offers the kind -> drift pipeline
-    mode: DriftMode | None  # how the drift is applied; None (and no pipeline) without drift
-
-
-_ALL, _HESTON, _CALL = tuple(Table), (Table.CALL, Table.VARIANCE), (Table.CALL,)
-_DET, _ADA = DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE
-
-
-def _on(tables, pipeline: str | None = None) -> dict:
-    return dict.fromkeys(tables, pipeline)
-
-
-#: On call payoffs the price-mode moderate-deviations drift is the
-#: deterministic-volatility root at sqrt(psi): MDPsn is BS there.
-_MDP_SN = {Table.CALL: "bs", Table.VARIANCE: "mdp_price"}
-
-#: The one kind registry. The det and adaptive kinds of a pipeline share its
-#: one cached solve at a strike: the adaptive kind divides the deterministic
-#: schedule by the volatility path it was solved on.
-KINDS = {
-    EstimatorKind.CLASSIC: KindEntry(_on(_ALL), None),
-    EstimatorKind.ANTITHETIC: KindEntry(_on(_ALL), None),
-    EstimatorKind.CONTROL_GEOMETRIC: KindEntry(_on((Table.CONSTANT_VOL,)), None),
-    EstimatorKind.BS: KindEntry(_on(_ALL, "bs"), _DET),
-    EstimatorKind.BS_A: KindEntry(_on(_HESTON, "bs"), _ADA),
-    EstimatorKind.BS_A2: KindEntry(_on(_CALL, "bs_a2"), DriftMode.PER_STEP_ADAPTIVE),
-    EstimatorKind.LDP_SN: KindEntry(_on(_HESTON, "ldp_sn"), _DET),
-    EstimatorKind.LDP_SN_A: KindEntry(_on(_HESTON, "ldp_sn"), _ADA),
-    EstimatorKind.LDP_ST: KindEntry(_on(_CALL, "ldp_st"), _DET),
-    EstimatorKind.LDP_ST_A: KindEntry(_on(_CALL, "ldp_st"), _ADA),
-    EstimatorKind.MDP_SN_LOG: KindEntry(_on(_CALL, "mdp_log"), _DET),
-    EstimatorKind.MDP_SN_LOG_A: KindEntry(_on(_CALL, "mdp_log"), _ADA),
-    EstimatorKind.MDP_SN: KindEntry(_MDP_SN, _DET),
-    EstimatorKind.MDP_SN_A: KindEntry(_MDP_SN, _ADA),
-    EstimatorKind.MDP_ST: KindEntry(_on(_CALL, "mdp_st"), _DET),
-    EstimatorKind.MDP_ST_A: KindEntry(_on(_CALL, "mdp_st"), _ADA),
-    EstimatorKind.MDP_LT: KindEntry(_on(_CALL, "mdp_lt"), _DET),
-}
-
-LDP_MODES = {"ldp_sn": LdpMode.SMALL_NOISE, "ldp_st": LdpMode.SMALL_TIME}
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
     kind: str
@@ -162,12 +122,22 @@ def reports_to_csv(reports: list[EstimatorReport], stable_output: bool = False) 
 
 
 # ---------------------------------------------------------------------------
-# Drift construction (shared across det/adaptive variants of one pipeline)
+# Drift construction: the kind registry and one cached solve per strike
 # ---------------------------------------------------------------------------
 
+class Solution(NamedTuple):
+    """A solve's schedule (deterministic, or BS_A2's per-step one) and the
+    volatility path it was solved on, None where no adaptive kind divides by
+    one; an LDP optimum also keeps its paths, which its oracle dumps."""
+
+    schedule: DriftSchedule
+    vol: np.ndarray | None
+    paths: LdpPaths | None = None
+
+
 class DriftFactory:
-    """The model a table runs under, and its drift builds cached per (payoff
-    kind, strike, pipeline).
+    """The model a table runs under, and its drift solves cached per (payoff
+    kind, strike, solve).
 
     The model is Heston with ``params``, or constant volatility ``sigma``
     (with ``params``' spot, rate and horizon) when ``sigma`` is given.
@@ -179,15 +149,6 @@ class DriftFactory:
         self.sigma = sigma
         self._cache: dict = {}
 
-    def _cached(self, spec, key, builder):
-        """``builder()``, built once per (spec's payoff kind and strike, ``key``)."""
-        key = (spec.kind, spec.strike, *key)
-        if key not in self._cache:
-            t0 = time.perf_counter()
-            value = builder()
-            self._cache[key] = (value, time.perf_counter() - t0)
-        return self._cache[key]
-
     def table(self, spec: PayoffSpec) -> Table:
         if self.sigma is not None:
             return Table.CONSTANT_VOL
@@ -195,166 +156,206 @@ class DriftFactory:
             return Table.VARIANCE
         return Table.CALL
 
-    def route(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[str | None, DriftMode | None]:
-        """The kind's (pipeline, mode) here; DomainError when this table does not offer it."""
-        table = self.table(spec)
-        entry = KINDS[kind]
-        if table not in entry.pipelines:
+    def route(self, kind: EstimatorKind, spec: PayoffSpec) -> Callable | None:
+        """The kind's solve on the spec's table, None for a kind without drift;
+        DomainError when this table does not offer the kind."""
+        table, solves = self.table(spec), KINDS[kind].solves
+        if table not in solves:
             raise DomainError(f"{kind.value} is not offered {table.value}")
-        return entry.pipelines[table], entry.mode
+        return solves[table]
+
+    def solution(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[Solution, float]:
+        """(solution, solve seconds) of the kind's solve at the spec's strike,
+        run once per (payoff kind, strike, solve): an adaptive kind reads its
+        deterministic twin's, and MDPsn reads BS's on call payoffs."""
+        solve = self.route(kind, spec)
+        if solve is None:
+            raise DomainError(f"{kind.value} carries no drift")
+        key = (spec.kind, spec.strike, solve)
+        if key not in self._cache:
+            t0 = time.perf_counter()
+            solution = solve(self, spec)
+            self._cache[key] = (solution, time.perf_counter() - t0)
+        return self._cache[key]
 
     def build(self, kind: EstimatorKind, spec: PayoffSpec) -> tuple[DriftSchedule, float]:
-        pipeline, mode = self.route(kind, spec)
-        if pipeline is None:
-            raise DomainError(f"{kind.value} carries no drift")
-        return self.build_pipeline(pipeline, spec, mode)
-
-    def build_pipeline(
-        self, pipeline: str, spec: PayoffSpec, mode: DriftMode
-    ) -> tuple[DriftSchedule, float]:
-        """(schedule, build seconds) of ``pipeline`` at the spec's strike, applied in ``mode``.
-
-        Every mode shares one solve per (payoff kind, strike, pipeline). The
-        solve gives the deterministic schedule and the volatility path it was
-        solved on; an adaptive schedule divides by that path, and the kernel
-        multiplies back by sqrt(V_i).
-        """
-        solve = self._PIPELINES[pipeline, self.table(spec)]
-        (det, vol), secs = self._cached(spec, (pipeline,), lambda: solve(self, pipeline, spec))
-        if mode is DriftMode.ADAPTIVE:
-            return DriftSchedule(mode, det.h1_dot / vol, det.h2_dot / vol, det.provenance), secs
+        """(schedule, build seconds) of the kind at the spec's strike. An
+        adaptive schedule divides the solved one by the volatility path it
+        was solved on, and the kernel multiplies back by sqrt(V_i)."""
+        solution, secs = self.solution(kind, spec)
+        det, vol = solution.schedule, solution.vol
+        if KINDS[kind].mode is _ADA:
+            return DriftSchedule(_ADA, det.h1_dot / vol, det.h2_dot / vol, det.provenance), secs
         return det, secs
 
-    def _alpha(self, spec):
+    def alpha(self, spec: PayoffSpec):
+        """The spec's weight path, the geometric one where it has none."""
         return spec.weight if spec.weight is not None else geometric_weight(self.grid.t_end)
 
-    def _sqrt_psi(self):
+    def _sqrt_psi(self) -> np.ndarray:
         return np.sqrt(psi_deterministic(self.params, self.grid))
 
-    def _frozen_vol(self, pipeline, spec):
-        """BS under constant vol: the deterministic-volatility root (``bs_beta``)
-        of the geometric call at the spec's strike, a surrogate for the
-        arithmetic one, embedded on the one Brownian channel's loading (1, 0)."""
-        g = self.grid
-        sigma = np.full(g.n_steps + 1, self.sigma)
-        geometric = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
-        red = bs_beta(geometric, sigma, self._alpha(geometric), g, self.params)
-        return bs_drift(red.beta_star, sigma, red.alpha, 1.0, pipeline), sigma
 
-    def ldp_solution(self, pipeline: str, spec: PayoffSpec):
-        """(LdpPaths, build seconds) of an LDP pipeline's optimum at the spec's strike."""
-        p, g, ldp_mode, alpha = self.params, self.grid, LDP_MODES[pipeline], self._alpha(spec)
+# The solves: each gives the Solution of a spec on its factory's model.
 
-        def solve():
-            a0_s, beta_s, _ = ldp_optimum(spec, alpha, p, g, ldp_mode)
-            return ldp_paths(beta_s, a0_s, alpha, p, g, ldp_mode)
 
-        return self._cached(spec, ("ldp", ldp_mode), solve)
+def solve_bs(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """BS, and MDPsn, on call payoffs: the deterministic-volatility root at sqrt(psi)."""
+    return Solution(mdp_price_drift(spec, f.alpha(spec), f.params, f.grid), f._sqrt_psi())
 
-    def _ldp(self, pipeline, spec):
-        """The optimum's drift, solved on its own variance path psi."""
-        paths, _ = self.ldp_solution(pipeline, spec)
-        return ldp_schedule(paths, LDP_MODES[pipeline]), np.sqrt(paths.psi)
 
-    def _solved(self, pipeline, spec):
-        """Call-payoff pipelines of one drift function each, with the volatility
-        path it freezes: sqrt(psi) for BS (and so MDPsn) and MDPsnLog, sqrt(v0)
-        for MDPst; MDPlt and BS_A2 have no adaptive twin."""
-        p, g, alpha = self.params, self.grid, self._alpha(spec)
-        if pipeline == "bs_a2":
-            return bs_fully_adaptive(spec, p, g), None
-        sqrt_psi = self._sqrt_psi()
-        solve, vol = {
-            "bs": (mdp_price_drift, sqrt_psi),
-            "mdp_st": (mdp_small_time_drift, np.full(g.n_steps + 1, np.sqrt(p.v0))),
-            "mdp_log": (mdp_log_drift, sqrt_psi),
-            "mdp_lt": (mdp_large_time_drift, None),
-        }[pipeline]
-        return solve(spec, alpha, p, g), vol
+def solve_bs_a2(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """BS_A2: the root at every step's own variance, with no adaptive twin."""
+    return Solution(bs_fully_adaptive(spec, f.params, f.grid), None)
 
-    # -- variance-payoff drifts (no closed form: reduced-basis solves) -------
 
-    def _varswap(self, pipeline, spec):
-        """A reduced-basis solve, frozen on the deterministic variance path psi."""
-        solve = {"ldp_sn": self._solve_vs_ldp, "mdp_price": self._solve_vs_mdp,
-                 "bs": self._solve_vs_bs}[pipeline]
-        prof1, prof2 = solve(spec)
-        return DriftSchedule(DriftMode.DETERMINISTIC, prof1, prof2, "varswap"), self._sqrt_psi()
+def solve_mdp_st(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """MDPst: the root with the variance frozen at v0."""
+    vol = np.full(f.grid.n_steps + 1, np.sqrt(f.params.v0))
+    return Solution(mdp_small_time_drift(spec, f.alpha(spec), f.params, f.grid), vol)
 
-    def _variance_response_atom(self):
-        """First-order response of log int V dt to the variance channel:
-        xi sqrt(psi_s) (1 - e^{-kappa (T-s)}) / kappa, normalized by int psi."""
-        p, g = self.params, self.grid
-        psi = psi_deterministic(p, g)
-        shape = (
-            p.xi * np.sqrt(psi)
-            * (1.0 - np.exp(-p.kappa * (g.t_end - g.knots))) / p.kappa
+
+def solve_mdp_log(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """MDPsnLog: the log-price moderate-deviations drift, on sqrt(psi)."""
+    return Solution(mdp_log_drift(spec, f.alpha(spec), f.params, f.grid), f._sqrt_psi())
+
+
+def solve_mdp_lt(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """MDPlt: the large-time drift, with no adaptive twin."""
+    return Solution(mdp_large_time_drift(spec, f.alpha(spec), f.params, f.grid), None)
+
+
+def _ldp(f: DriftFactory, spec: PayoffSpec, mode: LdpMode) -> Solution:
+    """LDPsn and LDPst: the optimum in ``mode``, solved on its own variance path psi."""
+    p, g, alpha = f.params, f.grid, f.alpha(spec)
+    a0_s, beta_s, _ = ldp_optimum(spec, alpha, p, g, mode)
+    paths = ldp_paths(beta_s, a0_s, alpha, p, g, mode)
+    return Solution(ldp_schedule(paths, mode), np.sqrt(paths.psi), paths)
+
+
+solve_ldp_sn = partial(_ldp, mode=LdpMode.SMALL_NOISE)
+solve_ldp_st = partial(_ldp, mode=LdpMode.SMALL_TIME)
+
+
+def solve_frozen_vol(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """BS under constant vol: the deterministic-volatility root (``bs_beta``)
+    of the geometric call at the spec's strike, a surrogate for the
+    arithmetic one, embedded on the one Brownian channel's loading (1, 0)."""
+    g = f.grid
+    sigma = np.full(g.n_steps + 1, f.sigma)
+    geometric = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, spec.strike, g.t_end)
+    red = bs_beta(geometric, sigma, f.alpha(geometric), g, f.params)
+    return Solution(bs_drift(red.beta_star, sigma, red.alpha, 1.0), sigma)
+
+
+# -- variance-payoff drifts (no closed form: reduced-basis solves) -----------
+
+def _varswap(f: DriftFactory, h1_dot: np.ndarray, h2_dot: np.ndarray) -> Solution:
+    """A reduced-basis solve's channels, frozen on the deterministic variance path psi."""
+    return Solution(DriftSchedule(_DET, h1_dot, h2_dot, "varswap"), f._sqrt_psi())
+
+
+def _variance_response_atom(f: DriftFactory) -> np.ndarray:
+    """First-order response of log int V dt to the variance channel:
+    xi sqrt(psi_s) (1 - e^{-kappa (T-s)}) / kappa, normalized by int psi."""
+    p, g = f.params, f.grid
+    psi = psi_deterministic(p, g)
+    shape = (
+        p.xi * np.sqrt(psi)
+        * (1.0 - np.exp(-p.kappa * (g.t_end - g.knots))) / p.kappa
+    )
+    return shape / float(psi[:-1].sum() * g.dt)
+
+
+def _solve_with_vega_atom(f: DriftFactory, make_problem):
+    """Solve ``make_problem(extra_atoms)``, whose ``extra_atoms`` append the
+    variance-response atom to channel 1, from weights 1 and 2 on that atom,
+    500 evaluations each. The payoff rises with the variance, so the starts
+    at 0, -1 and -2 push the wrong way: adding them gives the same bits."""
+    vega = _variance_response_atom(f)
+    problem = make_problem([(vega, np.zeros_like(vega))])
+    seed = np.zeros(problem.n_coeffs)
+    seed[problem.extra_index] = 1.0
+    coeffs, _ = varopt.solve(problem, budget=1000, starts=[seed, 2.0 * seed])
+    return problem.expand(coeffs)
+
+
+def solve_varswap_ldp(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    p, g = f.params, f.grid
+
+    def payoff_log(phi_dot, psi):
+        return payoff_mod.log_vol_indicator(phi_dot, psi, p, spec.strike, g)
+
+    return _varswap(f, *_solve_with_vega_atom(f, lambda atoms: ldp_problem(
+        None, p, g, LdpMode.SMALL_NOISE, payoff_log=payoff_log, extra_atoms=atoms
+    )))
+
+
+def solve_varswap_mdp(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """The fluctuation reads psi + eta as the variance proxy."""
+    p, g = f.params, f.grid
+
+    def payoff_log(phi_dot_fluct, psi, eta):
+        return payoff_mod.log_vol_indicator(
+            phi_dot_fluct - 0.5 * psi, psi + eta, p, spec.strike, g
         )
-        return shape / float(psi[:-1].sum() * g.dt)
 
-    def _solve_with_vega_atom(self, make_problem):
-        """Solve ``make_problem(extra_atoms)``, seeded at unit weight on the
-        variance-response atom that ``extra_atoms`` appends to channel 1: two
-        starts, +seed and +2 seed, of 500 evaluations each. The payoff rises
-        with the variance, so zero and the negative starts push the wrong way;
-        where +seed or +2 seed wins, the five default starts give the same bits."""
-        vega = self._variance_response_atom()
-        problem = make_problem([(vega, np.zeros_like(vega))])
-        seed = np.zeros(problem.n_coeffs)
-        seed[problem.extra_index] = 1.0
-        problem.seed_coeffs = seed
-        coeffs, _ = varopt.solve(problem, budget=1000, starts=[seed, 2.0 * seed])
-        return problem.expand(coeffs)
+    return _varswap(f, *_solve_with_vega_atom(f, lambda atoms: mdp_log_problem(
+        None, p, g, payoff_log=payoff_log, extra_atoms=atoms
+    )))
 
-    def _solve_vs_ldp(self, spec):
-        p, g = self.params, self.grid
 
-        def payoff_log(phi_dot, psi):
-            return payoff_mod.log_vol_indicator(phi_dot, psi, p, spec.strike, g)
+def solve_varswap_bs(f: DriftFactory, spec: PayoffSpec) -> Solution:
+    """Deterministic-volatility approximation: variance path frozen at psi."""
+    p, g = f.params, f.grid
+    psi = psi_deterministic(p, g)
+    sqp = np.sqrt(psi)
 
-        return self._solve_with_vega_atom(lambda atoms: ldp_problem(
-            None, p, g, LdpMode.SMALL_NOISE, payoff_log=payoff_log, extra_atoms=atoms
-        ))
+    def objective(xdot):
+        val = payoff_mod.log_vol_indicator(-0.5 * psi + sqp * xdot, psi, p, spec.strike, g)
+        return float(val) - 0.5 * float((xdot[:-1] ** 2).sum() * g.dt)
 
-    def _solve_vs_mdp(self, spec):
-        """The fluctuation reads psi + eta as the variance proxy."""
-        p, g = self.params, self.grid
+    problem = varopt.reduced_basis_problem(
+        objective, g, [[np.ones(g.n_steps + 1)]], label="vs_bs"
+    )
+    coeffs, _ = varopt.solve(problem, budget=2000)
+    (prof,) = problem.expand(coeffs)
+    return _varswap(f, p.rho * prof, p.rho_bar * prof)
 
-        def payoff_log(phi_dot_fluct, psi, eta):
-            return payoff_mod.log_vol_indicator(
-                phi_dot_fluct - 0.5 * psi, psi + eta, p, spec.strike, g
-            )
 
-        return self._solve_with_vega_atom(lambda atoms: mdp_log_problem(
-            None, p, g, payoff_log=payoff_log, extra_atoms=atoms
-        ))
+class KindEntry(NamedTuple):
+    solves: dict[Table, Callable | None]  # each Table that offers the kind -> its solve
+    mode: DriftMode | None  # how the drift is applied; None (and no solve) without drift
 
-    def _solve_vs_bs(self, spec):
-        """Deterministic-volatility approximation: variance path frozen at psi."""
-        p, g = self.params, self.grid
-        psi = psi_deterministic(p, g)
-        sqp = np.sqrt(psi)
 
-        def objective(xdot):
-            val = payoff_mod.log_vol_indicator(-0.5 * psi + sqp * xdot, psi, p, spec.strike, g)
-            return float(val) - 0.5 * float((xdot[:-1] ** 2).sum() * g.dt)
+_DET, _ADA = DriftMode.DETERMINISTIC, DriftMode.ADAPTIVE
+_NO_DRIFT = KindEntry(dict.fromkeys(Table), None)
+_BS = {Table.CALL: solve_bs, Table.VARIANCE: solve_varswap_bs}
+_LDP_SN = {Table.CALL: solve_ldp_sn, Table.VARIANCE: solve_varswap_ldp}
+_MDP_SN = {Table.CALL: solve_bs, Table.VARIANCE: solve_varswap_mdp}
 
-        problem = varopt.reduced_basis_problem(
-            objective, g, [[np.ones(g.n_steps + 1)]], label="vs_bs"
-        )
-        coeffs, _ = varopt.solve(problem, budget=2000)
-        (prof,) = problem.expand(coeffs)
-        return p.rho * prof, p.rho_bar * prof
-
-    # (pipeline, table) -> builder; KINDS offers a drift kind only where one exists
-    _PIPELINES = {
-        ("bs", Table.CALL): _solved, ("bs", Table.VARIANCE): _varswap,
-        ("bs", Table.CONSTANT_VOL): _frozen_vol, ("bs_a2", Table.CALL): _solved,
-        ("ldp_sn", Table.CALL): _ldp, ("ldp_sn", Table.VARIANCE): _varswap,
-        ("ldp_st", Table.CALL): _ldp, ("mdp_log", Table.CALL): _solved,
-        ("mdp_price", Table.VARIANCE): _varswap, ("mdp_st", Table.CALL): _solved,
-        ("mdp_lt", Table.CALL): _solved,
-    }
+#: The one kind registry: each table that offers a kind, with the solve that
+#: gives its schedule there, and how the schedule is applied. Kinds that name
+#: one solve share its cached run at a strike.
+KINDS = {
+    EstimatorKind.CLASSIC: _NO_DRIFT,
+    EstimatorKind.ANTITHETIC: _NO_DRIFT,
+    EstimatorKind.CONTROL_GEOMETRIC: KindEntry({Table.CONSTANT_VOL: None}, None),
+    EstimatorKind.BS: KindEntry({**_BS, Table.CONSTANT_VOL: solve_frozen_vol}, _DET),
+    EstimatorKind.BS_A: KindEntry(_BS, _ADA),
+    EstimatorKind.BS_A2: KindEntry({Table.CALL: solve_bs_a2}, DriftMode.PER_STEP_ADAPTIVE),
+    EstimatorKind.LDP_SN: KindEntry(_LDP_SN, _DET),
+    EstimatorKind.LDP_SN_A: KindEntry(_LDP_SN, _ADA),
+    EstimatorKind.LDP_ST: KindEntry({Table.CALL: solve_ldp_st}, _DET),
+    EstimatorKind.LDP_ST_A: KindEntry({Table.CALL: solve_ldp_st}, _ADA),
+    EstimatorKind.MDP_SN_LOG: KindEntry({Table.CALL: solve_mdp_log}, _DET),
+    EstimatorKind.MDP_SN_LOG_A: KindEntry({Table.CALL: solve_mdp_log}, _ADA),
+    EstimatorKind.MDP_SN: KindEntry(_MDP_SN, _DET),
+    EstimatorKind.MDP_SN_A: KindEntry(_MDP_SN, _ADA),
+    EstimatorKind.MDP_ST: KindEntry({Table.CALL: solve_mdp_st}, _DET),
+    EstimatorKind.MDP_ST_A: KindEntry({Table.CALL: solve_mdp_st}, _ADA),
+    EstimatorKind.MDP_LT: KindEntry({Table.CALL: solve_mdp_lt}, _DET),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +600,7 @@ def _run_cells(
     runs: dict = {}
     for cell in cells:
         try:
-            if factory.route(cell.kind, cell.spec)[0] is not None:
+            if factory.route(cell.kind, cell.spec) is not None:
                 drift, secs = factory.build(cell.kind, cell.spec)
                 # a zero schedule moves no path, and every log-weight stays exactly 0
                 zero = drift.mode in (_DET, _ADA) and not np.any((drift.h1_dot, drift.h2_dot))

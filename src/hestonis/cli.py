@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, OptimError
 from .model import EQUITY_PARAMS, HestonParams, TimeGrid, psi_deterministic, validate
-from .payoff import PayoffKind, geometric_weight, make_payoff
+from .payoff import PayoffKind, make_payoff
 from .measure import DriftMode
 from . import bench, varopt
-from .drift_ldp import atom_coefficients, ldp_problem
+from .drift_ldp import LdpMode, atom_coefficients, ldp_problem
 from .drift_mdp import (
     large_time_constants,
     large_time_problem,
@@ -207,55 +208,57 @@ def cmd_price(cfg: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def _ldp_oracle(pipeline, cols, spec, alpha, factory):
-    paths, _ = factory.ldp_solution(pipeline, spec)
+def _ldp_oracle(mode, solution, cols, spec, alpha, factory):
+    paths = solution.paths
     cols.update({"A": paths.a, "U": paths.u, "Z": paths.z, "psi": paths.psi})
-    return ldp_problem(spec, factory.params, factory.grid, bench.LDP_MODES[pipeline],
-                       alpha=alpha, extra_atoms=[(paths.xdot1, paths.xdot2)])
+    return ldp_problem(spec, factory.params, factory.grid, mode, alpha=alpha,
+                       extra_atoms=[(paths.u, paths.xdot2)])
 
 
-def _mdp_log_oracle(pipeline, cols, spec, alpha, factory):
-    params, grid = factory.params, factory.grid
+def _mdp_log_oracle(solution, cols, spec, alpha, factory):
+    params, grid, det = factory.params, factory.grid, solution.schedule
     aux = mdp_auxiliary(alpha, params, grid)
     cols.update({"B": aux.b_path, "gamma": aux.gamma, "u": aux.u})
-    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
     return mdp_log_problem(spec, params, grid, alpha=alpha,
                            extra_atoms=[(det.h1_dot, det.h2_dot)])
 
 
-def _mdp_price_oracle(pipeline, cols, spec, alpha, factory):
-    """The price problem on the pipeline's frozen variance: v0 for MDPst, psi otherwise."""
-    params, grid = factory.params, factory.grid
-    psi = np.full(grid.n_steps + 1, params.v0) if pipeline == "mdp_st" else None
-    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
+def _mdp_price_oracle(solution, cols, spec, alpha, factory, frozen_at_v0=False):
+    """The price problem on the solve's frozen variance: v0 for MDPst, psi otherwise."""
+    params, grid, det = factory.params, factory.grid, solution.schedule
+    psi = np.full(grid.n_steps + 1, params.v0) if frozen_at_v0 else None
     return mdp_price_problem(spec, params, grid, alpha, psi=psi,
                              extra_atoms=[(det.h1_dot, det.h2_dot)])
 
 
-def _large_time_oracle(pipeline, cols, spec, alpha, factory):
+def _large_time_oracle(solution, cols, spec, alpha, factory):
     """The one-channel problem in x1, whose closed form c* alpha is the drift's
     second channel over its loading B_dual[1] > 0."""
     consts = large_time_constants(factory.params)
-    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
-    x1 = det.h2_dot / (-consts.bvec[1] / consts.nu)
+    x1 = solution.schedule.h2_dot / (-consts.bvec[1] / consts.nu)
     return large_time_problem(spec, factory.params, factory.grid, alpha, 1.0 / consts.nu,
                               extra_atoms=[(x1,)])
 
 
-#: Call-payoff pipelines with a reduced-basis oracle: each adds its auxiliary
-#: paths to the dump and returns the oracle problem, whose extra atom holds the
-#: pipeline's closed-form drift.
-_ORACLES = {"bs": _mdp_price_oracle, "ldp_sn": _ldp_oracle, "ldp_st": _ldp_oracle,
-            "mdp_log": _mdp_log_oracle, "mdp_st": _mdp_price_oracle,
-            "mdp_lt": _large_time_oracle}
+#: Call-payoff solves (``bench.KINDS``) with a reduced-basis oracle: each adds
+#: its auxiliary paths to the dump and returns the oracle problem, whose extra
+#: atom holds the solve's closed-form drift.
+_ORACLES = {bench.solve_bs: _mdp_price_oracle,
+            bench.solve_mdp_st: partial(_mdp_price_oracle, frozen_at_v0=True),
+            bench.solve_ldp_sn: partial(_ldp_oracle, LdpMode.SMALL_NOISE),
+            bench.solve_ldp_st: partial(_ldp_oracle, LdpMode.SMALL_TIME),
+            bench.solve_mdp_log: _mdp_log_oracle, bench.solve_mdp_lt: _large_time_oracle}
 
 
-def oracle_gap(pipeline, spec, factory, budget: int, cols: dict | None = None):
-    """(oracle value - closed-form value, closed-form value) of a pipeline in
-    ``_ORACLES``: the reduced-basis solve starts from the pipeline's drift and
-    searches ``budget`` evaluations. The oracle's auxiliary paths go to ``cols``."""
-    alpha = spec.weight if spec.weight is not None else geometric_weight(factory.grid.t_end)
-    problem = _ORACLES[pipeline](pipeline, {} if cols is None else cols, spec, alpha, factory)
+def oracle_gap(kind, spec, factory, budget: int, cols: dict | None = None):
+    """(oracle value - closed-form value, closed-form value) of a kind whose
+    solve has an oracle in ``_ORACLES``: the reduced-basis solve starts from
+    the kind's cached drift and searches ``budget`` evaluations. The oracle's
+    auxiliary paths go to ``cols``."""
+    alpha = factory.alpha(spec)
+    oracle = _ORACLES[factory.route(kind, spec)]
+    solution, _ = factory.solution(kind, spec)
+    problem = oracle(solution, {} if cols is None else cols, spec, alpha, factory)
     closed_form = atom_coefficients(problem, problem.extra_index)
     cf = problem.value(closed_form)
     _, vv = varopt.solve(problem, init=closed_form, budget=budget)
@@ -267,8 +270,8 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
     params, grid, sigma = cfg.params(), cfg.grid(), _table_sigma(cfg)
     spec = make_payoff(cfg.payoff_kind(), strike, grid.t_end)
     factory = bench.DriftFactory(params, grid, sigma)
-    pipeline, mode = factory.route(kind, spec)
-    if mode is DriftMode.PER_STEP_ADAPTIVE:
+    solve = factory.route(kind, spec)
+    if bench.KINDS[kind].mode is DriftMode.PER_STEP_ADAPTIVE:
         raise DomainError(f"{kind_name}: per-step schedules have no static dump")
     drift, _ = factory.build(kind, spec)
     psi = psi_deterministic(params, grid) if sigma is None else np.full(grid.knots.size, sigma**2)
@@ -279,8 +282,8 @@ def cmd_drift(cfg: RunConfig, kind_name: str, strike: float) -> int:
         "psi": psi,
     }
     gap = float("nan")
-    if factory.table(spec) is bench.Table.CALL and pipeline in _ORACLES:
-        gap, _ = oracle_gap(pipeline, spec, factory, 2500, cols)
+    if solve in _ORACLES:
+        gap, _ = oracle_gap(kind, spec, factory, 2500, cols)
     header = ",".join(list(cols.keys()) + ["oracle_gap"])
     lines = [header]
     n = grid.knots.size

@@ -44,10 +44,7 @@ ROOT_UTOL = 1e-12  # a path is done when its step is below ROOT_UTOL * (1 + |u|)
 class BsReduction:
     """Scalar reduction of the deterministic-volatility problem."""
 
-    sigma: np.ndarray
     alpha: np.ndarray
-    v_quad: float
-    c_threshold: float
     beta_star: float
 
 
@@ -116,7 +113,7 @@ def bs_beta(
     if v_quad <= 0.0:
         raise OptimError("degenerate quadratic weight: v_quad = 0")
     beta = bs_root(v_quad, c)
-    return BsReduction(sigma=sig, alpha=a, v_quad=v_quad, c_threshold=c, beta_star=beta)
+    return BsReduction(alpha=a, beta_star=beta)
 
 
 def bs_drift(

@@ -176,7 +176,6 @@ class LdpPaths:
     psi: np.ndarray
     u: np.ndarray
     z: np.ndarray
-    xdot1: np.ndarray
     xdot2: np.ndarray
 
 
@@ -204,7 +203,7 @@ def ldp_paths(
     u = a_k * sqp
     z = params.rho * u + 0.5 * params.rho_bar**2 * beta * alpha_k * sqp
     xdot2 = (z - params.rho * u) / params.rho_bar
-    return LdpPaths(a=a_k, psi=psi_k, u=u, z=z, xdot1=u, xdot2=xdot2)
+    return LdpPaths(a=a_k, psi=psi_k, u=u, z=z, xdot2=xdot2)
 
 
 def _family_evaluator(
@@ -296,7 +295,7 @@ def ldp_optimum(spec: PayoffSpec, alpha: WeightPath, params: HestonParams, grid:
 
 def ldp_schedule(paths: LdpPaths, mode: LdpMode) -> DriftSchedule:
     """Drift schedule of an optimum's paths: (U, (Z - rho U)/rho_bar)."""
-    return DriftSchedule(DriftMode.DETERMINISTIC, paths.xdot1, paths.xdot2, f"ldp_{mode.value}")
+    return DriftSchedule(DriftMode.DETERMINISTIC, paths.u, paths.xdot2, f"ldp_{mode.value}")
 
 
 # ---------------------------------------------------------------------------

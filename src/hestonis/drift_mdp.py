@@ -47,7 +47,6 @@ class MdpAuxiliary:
     psi: np.ndarray
     b_path: np.ndarray
     gamma: np.ndarray
-    gamma_t_end: float
     u: np.ndarray
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ def mdp_auxiliary(alpha: WeightPath, params: HestonParams, grid: TimeGrid) -> Md
     gamma = _cumtrapz(np.exp(b_path) * a, grid.dt)
     g_psi = params.xi * np.sqrt(psi)
     u = 0.25 * g_psi * np.exp(-b_path) * (gamma - gamma[-1])
-    return MdpAuxiliary(psi=psi, b_path=b_path, gamma=gamma, gamma_t_end=float(gamma[-1]), u=u)
+    return MdpAuxiliary(psi=psi, b_path=b_path, gamma=gamma, u=u)
 
 
 def _log_reduction(alpha: WeightPath, params: HestonParams, grid: TimeGrid):

@@ -130,9 +130,9 @@ def run_all(cfg) -> list[tuple[str, bool, str]]:
     dev = abs(float(coeffs[0]) - red.beta_star)
     results.append(("bs-root-vs-reduced-basis", dev <= 1e-4, f"|dbeta| {dev:.2e}"))
 
-    # oracle agreement for the small-noise pipeline
+    # oracle agreement for the small-noise LDP drift
     factory = bench.DriftFactory(params, grid)
-    gap, cf_val = oracle_gap("ldp_sn", spec, factory, 1200)
+    gap, cf_val = oracle_gap(EstimatorKind.LDP_SN, spec, factory, 1200)
     ok = gap >= -1e-6 and gap <= 2e-3 * max(1.0, abs(cf_val))
     results.append(("ldp-oracle-agreement", ok, f"gap {gap:.2e}"))
 

@@ -17,7 +17,7 @@ from hestonis.bench import (
     run_appendix_table,
     run_table,
 )
-from hestonis.drift_bs import bs_beta, bs_problem, bs_root
+from hestonis.drift_bs import bs_beta, bs_problem, bs_root, call_curve
 from hestonis.drift_ldp import (
     LdpMode,
     atom_coefficients,
@@ -291,11 +291,12 @@ def test_criterion_8_deterministic_oracles():
     beta2 = bs_root(1.0, 2.0 - math.log(2.0))
     ok &= abs(beta2 - 2.0) <= 1e-10
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, GRID.t_end)
-    red = bs_beta(spec, np.sqrt(psi_deterministic(PARAMS, GRID)), spec.weight, GRID, PARAMS)
-    resid = abs(
-        red.v_quad * red.beta_star + math.log(red.beta_star - 1.0)
-        - math.log(red.beta_star) - red.c_threshold
-    )
+    sigma = np.sqrt(psi_deterministic(PARAMS, GRID))
+    red = bs_beta(spec, sigma, spec.weight, GRID, PARAMS)
+    a = spec.weight.on_grid(GRID)
+    v = float(((a[:-1] * sigma[:-1]) ** 2).sum() * GRID.dt)
+    _, _, c = call_curve(spec, PARAMS, 0.5 * float((a[:-1] * sigma[:-1] ** 2).sum() * GRID.dt))
+    resid = abs(v * red.beta_star + math.log(red.beta_star - 1.0) - math.log(red.beta_star) - c)
     ok &= resid <= 1e-10
     details.append(f"root beta2 {abs(beta2-2.0):.1e}, residual {resid:.1e}<=1e-10")
 
@@ -317,7 +318,7 @@ def _oracle_case(pipeline: str, strike: float):
         a0_s, beta_s, _ = ldp_optimum(spec, alpha, PARAMS, GRID, mode)
         paths = ldp_paths(beta_s, a0_s, alpha, PARAMS, GRID, mode)
         problem = ldp_problem(spec, PARAMS, GRID, mode, alpha=alpha,
-                              extra_atoms=[(paths.xdot1, paths.xdot2)])
+                              extra_atoms=[(paths.u, paths.xdot2)])
         return problem, atom_coefficients(problem, 2)
     if pipeline == "mdp_log":
         d = mdp_log_drift(spec, alpha, PARAMS, GRID)

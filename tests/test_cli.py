@@ -20,9 +20,9 @@ from hestonis.cli import (
     main,
     parse_config_file,
 )
+from hestonis.bench import EstimatorKind
 from hestonis.drift_ldp import atom_coefficients
 from hestonis.drift_mdp import large_time_constants
-from hestonis.measure import DriftMode
 from hestonis.model import EQUITY_PARAMS, TimeGrid
 from hestonis.payoff import PayoffKind, make_payoff
 
@@ -222,23 +222,28 @@ def test_explicit_payoff_wins_over_the_preset(capsys):
     assert preset == plain
 
 
-#: The row of each oracle problem's channels that holds the pipeline's drift,
-#: as the acceptance suite's ``_oracle_case`` also indexes it.
-_ORACLE_ATOM_ROWS = {"bs": 1, "ldp_sn": 2, "ldp_st": 2, "mdp_log": 2, "mdp_st": 1,
-                     "mdp_lt": 1}
+#: A kind on each call-payoff solve with an oracle, by the solve's name, and
+#: the row of the oracle problem's channels that holds the solve's drift, as
+#: the acceptance suite's ``_oracle_case`` also indexes it.
+_ORACLE_ATOM_ROWS = {"bs": (EstimatorKind.BS, 1), "ldp_sn": (EstimatorKind.LDP_SN, 2),
+                     "ldp_st": (EstimatorKind.LDP_ST, 2), "mdp_log": (EstimatorKind.MDP_SN_LOG, 2),
+                     "mdp_st": (EstimatorKind.MDP_ST, 1), "mdp_lt": (EstimatorKind.MDP_LT, 1)}
 
 
-@pytest.mark.parametrize("pipeline", sorted(_ORACLES))
-def test_oracle_closed_form_sits_on_the_extra_atoms(pipeline):
+@pytest.mark.parametrize("solve", sorted(_ORACLE_ATOM_ROWS))
+def test_oracle_closed_form_sits_on_the_extra_atoms(solve):
     grid = TimeGrid(16, 1.0)
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
     factory = bench.DriftFactory(EQUITY_PARAMS, grid)
-    problem = _ORACLES[pipeline](pipeline, {}, spec, spec.weight, factory)
+    kind, row = _ORACLE_ATOM_ROWS[solve]
+    assert len(_ORACLE_ATOM_ROWS) == len(_ORACLES)  # the kinds reach every oracle
+    solution, _ = factory.solution(kind, spec)
+    problem = _ORACLES[factory.route(kind, spec)](solution, {}, spec, spec.weight, factory)
     got = atom_coefficients(problem, problem.extra_index)
-    assert problem.extra_index == _ORACLE_ATOM_ROWS[pipeline]
+    assert problem.extra_index == row
     assert got.sum() == len(problem.basis)  # unit weight in every channel
-    det, _ = factory.build_pipeline(pipeline, spec, DriftMode.DETERMINISTIC)
-    if pipeline == "mdp_lt":  # one channel x1; the drift is B_dual x1
+    det = solution.schedule
+    if kind is EstimatorKind.MDP_LT:  # one channel x1; the drift is B_dual x1
         consts = large_time_constants(EQUITY_PARAMS)
         (x1,) = problem.expand(got)
         for h, b in zip((det.h1_dot, det.h2_dot), -consts.bvec / consts.nu):

@@ -23,6 +23,6 @@ def test_16_step_drift_dumps_match_the_ledger():
         pytest.skip(message)
     selected = [(label, argv) for label, argv in digests.runs()
                 if label.startswith("drift ") and label.endswith(" steps=16")]
-    assert len(selected) == 32
+    assert len(selected) == 35
     moved = [label for label, lines in digests.digests(selected) if want.get(label) != lines]
     assert moved == []

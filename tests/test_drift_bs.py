@@ -56,21 +56,24 @@ def test_unreachable_payoff_raises():
         bs_root(1e-7, 5.0)
 
 
+def _root_moments(spec, sigma, grid, params):
+    """(v, c) of the root equation v beta + log((beta - 1) / beta) = c, and
+    the payoff's slope F', from the weighted call and the volatility path."""
+    a = spec.weight.on_grid(grid)
+    v = float(((a[:-1] * sigma[:-1]) ** 2).sum() * grid.dt)
+    shift = 0.5 * float((a[:-1] * sigma[:-1] ** 2).sum() * grid.dt)
+    _, fp, c = call_curve(spec, params, shift)
+    return v, c, fp
+
+
 def test_root_residual_and_stationarity(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
     sigma = np.sqrt(psi_deterministic(params, grid))
     red = bs_beta(spec, sigma, spec.weight, grid, params)
-    resid = (
-        red.v_quad * red.beta_star
-        + np.log(red.beta_star - 1.0)
-        - np.log(red.beta_star)
-        - red.c_threshold
-    )
+    v, c, fp = _root_moments(spec, sigma, grid, params)
+    resid = v * red.beta_star + np.log(red.beta_star - 1.0) - np.log(red.beta_star) - c
     assert abs(resid) <= 1e-10
-    a = spec.weight.on_grid(grid)
-    shift = 0.5 * float((a[:-1] * sigma[:-1] ** 2).sum() * grid.dt)
-    _, fp, _ = call_curve(spec, params, shift)
-    assert abs(fp(red.beta_star * red.v_quad) - red.beta_star) <= 1e-10
+    assert abs(fp(red.beta_star * v) - red.beta_star) <= 1e-10
 
 
 class TestDriftEmbedding:
@@ -264,7 +267,8 @@ def test_bs_scale_matches_root_when_moments_agree(params, grid):
     spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 60.0, 1.0)
     sigma = np.sqrt(psi_deterministic(params, grid))
     red = bs_beta(spec, sigma, spec.weight, grid, params)
-    beta = bs_scale(red.v_quad, red.v_quad, red.c_threshold)
+    v, c, _ = _root_moments(spec, sigma, grid, params)
+    beta = bs_scale(v, v, c)
     assert beta == pytest.approx(red.beta_star, rel=1e-10)
 
 

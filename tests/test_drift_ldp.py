@@ -255,7 +255,7 @@ def test_uncorrelated_channels_match_oracle(grid, alpha):
     # channels decouple: h1 = U, h2 = Z
     assert np.abs(paths.xdot2 - paths.z).max() <= 1e-10
     problem = ldp_problem(spec, p0, grid, LdpMode.SMALL_NOISE, alpha=alpha,
-                          extra_atoms=[(paths.xdot1, paths.xdot2)])
+                          extra_atoms=[(paths.u, paths.xdot2)])
     cfc = atom_coefficients(problem, 2)
     cf = problem.value(cfc)
     _, vv = varopt.solve(problem, init=cfc, budget=2500)
@@ -268,7 +268,7 @@ def test_closed_form_drift_is_locally_optimal_in_hat_basis(params, grid, alpha):
     a0_s, beta_s, _ = ldp_optimum(spec, alpha, params, grid, LdpMode.SMALL_NOISE)
     paths = ldp_paths(beta_s, a0_s, alpha, params, grid, LdpMode.SMALL_NOISE)
     problem = ldp_problem(spec, params, grid, LdpMode.SMALL_NOISE, alpha=alpha,
-                          extra_atoms=[(paths.xdot1, paths.xdot2)])
+                          extra_atoms=[(paths.u, paths.xdot2)])
     cfc = atom_coefficients(problem, 2)
     # probes pick up at most the O(dt^2) discretization gradient: no 1e-3
     # perturbation may improve the value by more than 1e-6 of its scale,

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.stats import gamma as gamma_dist
 
 from hestonis import varopt
-from hestonis.drift_bs import bs_beta, bs_scale
+from hestonis.drift_bs import bs_beta, bs_root, bs_scale, call_curve
 from hestonis.drift_mdp import (
     _fbar_curve,
     _log_reduction,
@@ -46,8 +46,8 @@ class TestAuxiliary:
     def test_gamma_horizon_value_against_quadrature(self, params, grid, alpha):
         aux = mdp_auxiliary(alpha, params, grid)
         ref, _ = integrate.quad(lambda s: np.exp(-2.0 * s) * (1.0 - s), 0.0, 1.0)
-        assert aux.gamma_t_end == pytest.approx(ref, abs=1e-5)
-        assert aux.gamma_t_end == pytest.approx(0.28383, abs=1e-4)
+        assert aux.gamma[-1] == pytest.approx(ref, abs=1e-5)
+        assert aux.gamma[-1] == pytest.approx(0.28383, abs=1e-4)
 
     def test_u_vanishes_at_horizon(self, params, grid, alpha):
         aux = mdp_auxiliary(alpha, params, grid)
@@ -149,12 +149,13 @@ class TestSmallTimeMode:
         )
 
     def test_weighted_moment_factorizes(self, params, grid, alpha, spec):
+        # frozen at v0, the root's moment int (alpha sigma)^2 is v0 int alpha^2
         sigma_flat = np.full(grid.n_steps + 1, np.sqrt(params.v0))
         red = bs_beta(spec, sigma_flat, alpha, grid, params)
         a = red.alpha
-        assert red.v_quad == pytest.approx(
-            params.v0 * float((a[:-1] ** 2).sum() * grid.dt), abs=1e-15
-        )
+        _, _, c = call_curve(spec, params, 0.5 * params.v0 * float(a[:-1].sum() * grid.dt))
+        v = params.v0 * float((a[:-1] ** 2).sum() * grid.dt)
+        assert red.beta_star == pytest.approx(bs_root(v, c), rel=1e-12)
 
 
 class TestLargeTime:

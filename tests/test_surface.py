@@ -19,9 +19,6 @@ ALLOWED = {
 ALLOWED_FIELDS = {
     "PathBatch.v_raw": "the untruncated variance that tests of the scheme read",
     "DriftSchedule.provenance": "names the pipeline a schedule came from, for tests",
-    "BsReduction.v_quad": "the root equation's moment, which tests check the root against",
-    "BsReduction.c_threshold": "the root equation's threshold, which tests check the root against",
-    "MdpAuxiliary.gamma_t_end": "the horizon value tests check against quadrature",
     "EstimatorReport.var_reduction": "a CSV column, read through dataclasses.fields",
     "EstimatorReport.prob_positive": "a CSV column, read through dataclasses.fields",
     "EstimatorReport.wall_time_s": "a CSV column, read through dataclasses.fields",
