@@ -36,8 +36,17 @@ U_LO = -745.0
 U_HI = float(np.log(BETA_BRACKET_HI))
 _B_HI = 1.0 + float(np.exp(U_HI))
 _LOG_B_HI = float(np.log(_B_HI))
-ROOT_PASSES = 16  # Newton passes per solve; BS_A2's states at K = 30 need at most 4
+ROOT_PASSES = 16  # Newton passes per exact solve; the tested regimes converge within 5
 ROOT_UTOL = 1e-12  # a path is done when its step is below ROOT_UTOL * (1 + |u|)
+# BS_A2's per-step solve stops after 2 passes. The kernel's Girsanov weight
+# reads the drift that is applied, so any root gives an unbiased estimator and
+# only the variance depends on how near the optimum it is (Glasserman, Monte
+# Carlo Methods in Financial Engineering, 2004, 4.6). Newton converges
+# quadratically from the cold start: on every state of a 25k-path x 252-step
+# K = 30 chunk, which needs up to 4 passes to converge, 2 passes leave a
+# relative error in beta of at most 1.4e-8 and cut the root's time from 0.71
+# to 0.31 s (3 passes: 7e-15 in 0.55 s; 2-core Xeon, best of 3).
+A2_ROOT_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,8 @@ def _cold_start(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.clip(u0, U_LO, U_HI)
 
 
-def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized root of v b + log(b-1) - log(b) = c over paths.
+def _vector_bs_root(v: np.ndarray, c: np.ndarray, passes: int = ROOT_PASSES) -> np.ndarray:
+    """Vectorized root of v b + log(b-1) - log(b) = c over paths, in at most ``passes`` passes.
 
     Solved in u = log(b - 1), where g(u) = v (1 + e^u) + u - log(1 + e^u) - c
     is increasing, by Newton steps kept inside the bisection bracket
@@ -171,6 +180,7 @@ def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     Every root is clamped at BETA_BRACKET_LO, the value of the roots pinned
     below U_LO, so beta does not fall as c rises across the pin; v <= 0 and
     roots beyond the beta bracket return nan for the caller to zero out.
+    A path still live when the passes run out returns its last iterate.
 
     Each pass writes into work vectors allocated once per call (two threads
     solving at once share none), so a path's arithmetic is the same
@@ -195,7 +205,7 @@ def _vector_bs_root(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     below, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     live = None  # indices of the live paths; None while every path is live
     root = None
-    for _ in range(ROOT_PASSES if n else 0):
+    for _ in range(passes if n else 0):
         m = u.size
         un, e, b, g, t, below, flag = (a[:m] for a in (u_next, e, b, g, t, below, flag))
         # g = v b + u - log b - c with b = 1 + e^u
@@ -274,7 +284,7 @@ def bs_fully_adaptive_step(
     half = np.multiply(v_i, 0.5)
     half *= a1
     c += half
-    beta = _vector_bs_root(np.multiply(v_i, a2), c)
+    beta = _vector_bs_root(np.multiply(v_i, a2), c, passes=A2_ROOT_PASSES)
     # amp = beta alpha_i sqrt(v_i), 0 where beta is nan
     np.copyto(beta, 0.0, where=np.isnan(beta))
     beta *= alpha_i

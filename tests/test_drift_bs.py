@@ -5,8 +5,10 @@ from scipy import optimize
 
 from hestonis import drift_bs, varopt
 from hestonis.drift_bs import (
+    A2_ROOT_PASSES,
     BETA_BRACKET_HI,
     BETA_BRACKET_LO,
+    ROOT_PASSES,
     _cold_start,
     _root_bracket,
     bs_beta,
@@ -19,6 +21,7 @@ from hestonis.drift_bs import (
     _vector_bs_root,
 )
 from hestonis.errors import OptimError
+from hestonis.measure import log_inverse_weight
 from hestonis.model import TimeGrid, psi_deterministic
 from hestonis.payoff import PayoffKind, make_payoff
 from hestonis.sim import RngSpec, simulate_q
@@ -173,8 +176,8 @@ def _brentq_root(v, c):
     return optimize.brentq(g, BETA_BRACKET_LO, BETA_BRACKET_HI, xtol=1e-14, rtol=8.9e-16)
 
 
-def _assert_matches_brentq(v, c, rtol=1e-10):
-    got = _vector_bs_root(v, c)
+def _assert_matches_brentq(v, c, rtol=1e-10, passes=ROOT_PASSES):
+    got = _vector_bs_root(v, c, passes=passes)
     want = np.array([_brentq_root(vi, ci) for vi, ci in zip(v, c)])
     assert np.array_equal(np.isnan(got), np.isnan(want))
     finite = ~np.isnan(want)
@@ -248,7 +251,7 @@ def test_no_root_exceeds_the_top_the_error_names():
     assert np.nanmax(got) <= top
 
 
-def test_root_converges_well_inside_the_pass_cap(monkeypatch):
+def test_root_converges_well_inside_the_pass_cap():
     """States like BS_A2's at K = 30-70 are solved to 1e-10 within 8 passes.
 
     The solve starts above the root, so lo stays at the bracket floor while
@@ -256,11 +259,10 @@ def test_root_converges_well_inside_the_pass_cap(monkeypatch):
     counted as outside the bracket, the path would be bisected back out
     towards U_LO and need far more passes than the cap.
     """
-    monkeypatch.setattr(drift_bs, "ROOT_PASSES", 8)
     rng = np.random.default_rng(30)
     v = rng.uniform(6e-4, 1.3e-2, 2_000)
     c = rng.uniform(-0.6, 0.2, 2_000)
-    _assert_matches_brentq(v, c)
+    _assert_matches_brentq(v, c, passes=8)
 
 
 def test_bs_scale_matches_root_when_moments_agree(params, grid):
@@ -278,10 +280,11 @@ def test_bs_scale_needs_positive_moments():
             bs_scale(s1, s2, 0.1)
 
 
-def _compacting_reference(v, c):
-    """The root as one path of ``_vector_bs_root`` computed it before its
-    work vectors were reused: fresh arrays on every pass, the live set
-    compacted on every pass. Same operations in the same order per path."""
+def _compacting_reference(v, c, passes):
+    """The root as one path of ``_vector_bs_root`` computed it in at most
+    ``passes`` passes before its work vectors were reused: fresh arrays on
+    every pass, the live set compacted on every pass. Same operations in the
+    same order per path."""
     v, c = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(c, dtype=float))
     pinned, unreachable = _root_bracket(v, c)
     ok = v > 0.0
@@ -293,7 +296,7 @@ def _compacting_reference(v, c):
     hi = np.full(u.shape, drift_bs.U_HI)
     root = np.empty(u.shape)
     live = np.arange(u.size)
-    for _ in range(drift_bs.ROOT_PASSES):
+    for _ in range(passes):
         e = np.exp(u)
         b = 1.0 + e
         g = v * b + u - np.log(b) - c
@@ -340,9 +343,9 @@ def _recorded_root_calls(params, n_paths=2_000):
     calls = []
     solve = drift_bs._vector_bs_root
 
-    def recording(v, c):
+    def recording(v, c, passes):
         calls.append((np.copy(v), np.copy(c)))
-        return solve(v, c)
+        return solve(v, c, passes=passes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drift_bs, "_vector_bs_root", recording)
@@ -352,17 +355,56 @@ def _recorded_root_calls(params, n_paths=2_000):
     return calls
 
 
-@pytest.mark.parametrize("passes", [None, 1, 2, 3])
-def test_root_is_the_compacting_reference_bit_for_bit(params, monkeypatch, passes):
-    # ROOT_PASSES cut short leaves some paths live when the passes run out
-    if passes is not None:
-        monkeypatch.setattr(drift_bs, "ROOT_PASSES", passes)
+@pytest.mark.parametrize(
+    "passes", [ROOT_PASSES, 1, 2, 3, pytest.param(A2_ROOT_PASSES, id="A2_ROOT_PASSES")])
+def test_root_is_the_compacting_reference_bit_for_bit(params, passes):
+    # fewer passes than a path needs leave it live when the passes run out
     cases = [_root_regimes(), (np.array([0.02]), np.array([-0.3])), (0.02, -0.3)]
     cases += _recorded_root_calls(params)
     for v, c in cases:
-        got, want = _vector_bs_root(v, c), _compacting_reference(v, c)
+        got = _vector_bs_root(v, c, passes=passes)
+        want = _compacting_reference(v, c, passes)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_scalar_root_is_the_full_pass_vector_root():
+    v, c = _root_regimes()
+    want = _vector_bs_root(v, c, passes=ROOT_PASSES)
+    for vi, ci, wi in zip(v, c, want):
+        if np.isnan(wi):
+            with pytest.raises(OptimError):
+                bs_root(vi, ci)
+        else:
+            assert bs_root(vi, ci) == wi
+
+
+def test_capped_roots_of_bs_a2_states_are_within_1e_6_of_brentq(params):
+    for v, c in _recorded_root_calls(params):
+        got = _vector_bs_root(v, c, passes=A2_ROOT_PASSES)
+        full = _vector_bs_root(v, c)
+        assert np.array_equal(np.isnan(got), np.isnan(full))
+        # brentq on the 64 paths farthest from the full solve and every 16th path
+        with np.errstate(invalid="ignore"):
+            gap = np.nan_to_num(np.abs(got - full) / full)
+        pick = np.union1d(np.argsort(gap)[-64:], np.arange(0, v.size, 16))
+        want = np.array([_brentq_root(v[i], c[i]) for i in pick])
+        assert np.array_equal(np.isnan(got[pick]), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(got[pick][ok] - want[ok]) <= 1e-6 * want[ok])
+
+
+def test_capped_per_step_weight_has_unit_mean(params):
+    """E_Q[1/Z] = 1 for the drift the capped root applies: the estimator stays
+    unbiased whatever the root's error, because the weight reads that drift."""
+    grid = TimeGrid(64, 1.0)
+    spec = make_payoff(PayoffKind.GEOMETRIC_ASIAN_CALL, 30.0, 1.0)
+    drift = bs_fully_adaptive(spec, params, grid)
+    batch = simulate_q(params, grid, 20_000, RngSpec(31), drift, specs=[spec])
+    w = np.exp(log_inverse_weight(batch, drift))
+    assert np.all(w != 1.0)  # the drift is live on every path
+    se = w.std(ddof=1) / np.sqrt(w.size)
+    assert abs(w.mean() - 1.0) <= 3.0 * se
 
 
 def test_root_regimes_reach_every_branch():
